@@ -162,6 +162,8 @@ int main(int argc, char** argv) {
   int argn = static_cast<int>(args.size());
   benchmark::Initialize(&argn, args.data());
   if (benchmark::ReportUnrecognizedArguments(argn, args.data())) return 1;
+  benchmark::AddCustomContext("discs_build_type", DISCS_BUILD_TYPE);
+  benchmark::AddCustomContext("discs_compiler", DISCS_COMPILER);
 
   std::size_t ran = benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -1,12 +1,44 @@
 #include "kv/store.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "obs/registry.h"
 #include "util/fmt.h"
 
 namespace discs::kv {
+
+namespace {
+/// sort_unique uses the bitmap while the id span is at most this many ids
+/// per entry: the bitmap scan then reads at most one word per entry.  On
+/// the benchmark's sim-sweep cops-snow runs ~96% of calls (about 540 ids
+/// each) take the bitmap, which makes them 1.85x faster end to end than
+/// sort + unique alone (docs/PERFORMANCE.md).
+constexpr std::uint64_t kMaxSpanPerId = 64;
+}  // namespace
+
+void sort_unique(std::vector<TxId>& ids) {
+  if (ids.size() < 2) return;
+  const auto [lo_it, hi_it] = std::minmax_element(ids.begin(), ids.end());
+  const std::uint64_t lo = lo_it->value();
+  const std::uint64_t span = hi_it->value() - lo;
+  if (span / kMaxSpanPerId >= ids.size()) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return;
+  }
+  std::vector<std::uint64_t> bits(span / 64 + 1);
+  for (TxId t : ids) {
+    const std::uint64_t i = t.value() - lo;
+    bits[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  ids.clear();
+  for (std::size_t w = 0; w < bits.size(); ++w)
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1)
+      ids.emplace_back(lo + w * 64 +
+                       static_cast<std::uint64_t>(std::countr_zero(b)));
+}
 
 const std::vector<Version> VersionedStore::kEmpty;
 
@@ -101,7 +133,7 @@ const Version* VersionedStore::find_value(ObjectId obj, ValueId value) const {
 }
 
 bool VersionedStore::make_visible(ObjectId obj, ValueId value,
-                                  std::set<TxId> invisible_to) {
+                                  ReaderSet invisible_to) {
   if (!stores(obj)) return false;
   // Locate the version in the shared chain first so a miss does not clone.
   const Chain& shared = *chains_->find(obj)->second;
@@ -111,7 +143,7 @@ bool VersionedStore::make_visible(ObjectId obj, ValueId value,
   if (idx == shared.size()) return false;
   Version& v = mutable_chain(obj)[idx];
   v.visible = true;
-  v.invisible_to.assign(invisible_to.begin(), invisible_to.end());
+  v.invisible_to = std::move(invisible_to);
   return true;
 }
 

@@ -16,10 +16,10 @@
 // stay valid across mutations of other stores sharing the storage.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,23 +35,31 @@ using discs::TxId;
 using discs::ValueId;
 using discs::clk::HlcTimestamp;
 
+/// Sorts `ids` ascending and drops duplicates, in place: the union of
+/// reader lists gathered in any order.  TxIds come from IdSource and are
+/// dense, so a bitmap over [min, max] does it in O(n + span/64); when the
+/// span is much wider than the entry count it falls back to sort + unique.
+void sort_unique(std::vector<TxId>& ids);
+
 /// Ordered set of reader exclusions, stored inline for the common cases
-/// (empty, one or two readers) instead of as std::set heap nodes — version
-/// chains are COW-cloned wholesale, so per-version node allocations were a
-/// dominant clone cost.  Iteration order and the insert/count surface match
-/// std::set, which keeps store digests byte-identical.
+/// (empty, one or two readers) instead of as ordered-tree heap nodes —
+/// version chains are COW-cloned wholesale, so per-version node allocations
+/// were a dominant clone cost.  Iteration is ascending and unique, as in an
+/// ordered set, which keeps store digests byte-identical.
 class ReaderSet {
  public:
   ReaderSet() = default;
+  ReaderSet(std::initializer_list<TxId> ids) {
+    for (TxId t : ids) insert(t);
+  }
+  /// The union of `ids`, given in any order and with duplicates.
+  explicit ReaderSet(std::vector<TxId> ids) {
+    sort_unique(ids);
+    v_.assign(ids.begin(), ids.end());
+  }
 
   void insert(TxId t) { v_.insert_sorted_unique(t); }
   std::size_t count(TxId t) const { return v_.contains_sorted(t) ? 1 : 0; }
-
-  /// Bulk-load from any sorted unique range (e.g. a std::set).
-  template <class It>
-  void assign(It first, It last) {
-    v_.assign(first, last);
-  }
 
   std::size_t size() const { return v_.size(); }
   bool empty() const { return v_.empty(); }
@@ -122,10 +130,9 @@ class VersionedStore {
   /// Finds the version holding `value`, visible or not.
   const Version* find_value(ObjectId obj, ValueId value) const;
 
-  /// Marks the version holding `value` visible, recording which readers it
+  /// Marks the version holding `value` visible, moving in the readers it
   /// must stay hidden from.
-  bool make_visible(ObjectId obj, ValueId value,
-                    std::set<TxId> invisible_to = {});
+  bool make_visible(ObjectId obj, ValueId value, ReaderSet invisible_to = {});
 
   const std::vector<Version>& chain(ObjectId obj) const;
   std::vector<ObjectId> objects() const;

@@ -27,7 +27,7 @@ void Journal::record_put(ObjectId obj, const kv::Version& v) {
 }
 
 void Journal::record_make_visible(ObjectId obj, ValueId value,
-                                  const std::set<TxId>& invisible_to) {
+                                  const kv::ReaderSet& invisible_to) {
   JournalRecord r;
   r.kind = JournalRecord::Kind::kMakeVisible;
   r.obj = obj;

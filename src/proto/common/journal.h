@@ -19,7 +19,6 @@
 // trace-replay contracts.
 #pragma once
 
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,7 +33,7 @@ struct JournalRecord {
   ObjectId obj;
   kv::Version version;            ///< kPut: the version appended
   ValueId value;                  ///< kMakeVisible: the value revealed
-  std::set<TxId> invisible_to;    ///< kMakeVisible: reader exclusions
+  kv::ReaderSet invisible_to;     ///< kMakeVisible: reader exclusions
 
   std::string describe() const;
 };
@@ -46,7 +45,7 @@ class Journal {
 
   void record_put(ObjectId obj, const kv::Version& v);
   void record_make_visible(ObjectId obj, ValueId value,
-                           const std::set<TxId>& invisible_to);
+                           const kv::ReaderSet& invisible_to);
 
   /// Compacts when over threshold: `current` becomes the replay base and
   /// the records are truncated (counted as server.recovery.truncated).
@@ -86,7 +85,7 @@ class JournaledStore {
   }
 
   bool make_visible(ObjectId obj, ValueId value,
-                    std::set<TxId> invisible_to = {}) {
+                    kv::ReaderSet invisible_to = {}) {
     if (journal_) journal_->record_make_visible(obj, value, invisible_to);
     bool ok = store_.make_visible(obj, value, std::move(invisible_to));
     if (journal_) journal_->maybe_compact(store_);

@@ -66,22 +66,20 @@ std::string Client::proto_digest() const {
   return b.str();
 }
 
-std::vector<TxId> Server::old_readers_of(ObjectId object,
-                                         clk::HlcTimestamp ts) const {
-  std::vector<TxId> out;
+void Server::old_readers_of(ObjectId object, clk::HlcTimestamp ts,
+                            std::vector<TxId>& out) const {
   auto it = served_.find(object);
-  if (it == served_.end()) return out;
+  if (it == served_.end()) return;
   for (const auto& [rot, served_ts] : it->second)
     if (served_ts < ts) out.push_back(rot);
-  return out;
 }
 
 void Server::finalize_write(sim::StepContext& ctx, TxId wtx) {
   auto it = pending_.find(wtx);
   DISCS_CHECK(it != pending_.end());
   PendingWrite& pw = it->second;
-  std::set<TxId> hidden = pw.old_readers;
-  bool ok = store_mut().make_visible(pw.object, pw.value, std::move(hidden));
+  bool ok = store_mut().make_visible(pw.object, pw.value,
+                                     kv::ReaderSet(std::move(pw.old_readers)));
   DISCS_CHECK(ok);
 
   auto reply = std::make_shared<WriteReply>();
@@ -132,8 +130,7 @@ void Server::on_message(sim::StepContext& ctx, const sim::Message& m) {
     for (const auto& dep : req->deps) {
       ProcessId owner = view().primary(dep.object);
       if (owner == id()) {
-        for (auto rot : old_readers_of(dep.object, dep.ts))
-          pw.old_readers.insert(rot);
+        old_readers_of(dep.object, dep.ts, pw.old_readers);
       } else {
         remote[owner].emplace_back(dep.object, dep.ts);
       }
@@ -155,10 +152,9 @@ void Server::on_message(sim::StepContext& ctx, const sim::Message& m) {
   if (const auto* q = m.as<OldReaderQuery>()) {
     auto reply = std::make_shared<OldReaderReply>();
     reply->wtx = q->wtx;
-    std::set<TxId> readers;
     for (const auto& [obj, ts] : q->deps)
-      for (auto rot : old_readers_of(obj, ts)) readers.insert(rot);
-    reply->old_readers.assign(readers.begin(), readers.end());
+      old_readers_of(obj, ts, reply->old_readers);
+    kv::sort_unique(reply->old_readers);
     ctx.send(m.src, reply);
     return;
   }
@@ -166,7 +162,8 @@ void Server::on_message(sim::StepContext& ctx, const sim::Message& m) {
   if (const auto* r = m.as<OldReaderReply>()) {
     auto it = pending_.find(r->wtx);
     if (it == pending_.end()) return;
-    for (auto rot : r->old_readers) it->second.old_readers.insert(rot);
+    auto& readers = it->second.old_readers;
+    readers.insert(readers.end(), r->old_readers.begin(), r->old_readers.end());
     DISCS_CHECK(it->second.replies_outstanding > 0);
     if (--it->second.replies_outstanding == 0) finalize_write(ctx, r->wtx);
     return;

@@ -13,7 +13,7 @@
 #pragma once
 
 #include <map>
-#include <set>
+#include <vector>
 
 #include "clock/clocks.h"
 #include "proto/common/client.h"
@@ -60,13 +60,15 @@ class Server : public ServerBase {
     ValueId value;
     ProcessId client;
     std::size_t replies_outstanding = 0;
-    std::set<TxId> old_readers;
+    /// Gathered unsorted, with duplicates; unioned at finalize_write.
+    std::vector<TxId> old_readers;
     clk::HlcTimestamp ts;
   };
 
-  /// ROTs that read versions of `object` older than `ts`.
-  std::vector<TxId> old_readers_of(ObjectId object,
-                                   clk::HlcTimestamp ts) const;
+  /// Appends to `out` the ROTs that read versions of `object` older than
+  /// `ts`, in log order.
+  void old_readers_of(ObjectId object, clk::HlcTimestamp ts,
+                      std::vector<TxId>& out) const;
   void finalize_write(sim::StepContext& ctx, TxId wtx);
 
   clk::HybridLogicalClock hlc_;

@@ -17,6 +17,7 @@
 //   DISCS_REGEN_GOLDEN=<repo>/tests/data/golden ./test_hotpath_identity
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -146,6 +147,75 @@ TEST(HotpathIdentity, GoldenTracesReplayByteExact) {
     EXPECT_TRUE(replay.ok) << name << ": " << replay.error;
     EXPECT_TRUE(replay.digest_match) << name;
     EXPECT_EQ(obs::export_jsonl(replay.reexport), bytes) << name;
+  }
+}
+
+// FNV-1a 64: pins a multi-megabyte digest as one constant.
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+enum class LongRun { kSequential, kConcurrentZipf, kSequentialJournal };
+
+// Final configuration digest of a long cops-snow run.  The 40-transaction
+// pin above never builds large hidden sets; these runs do, so they pin the
+// old-reader union, the store's per-version exclusions and (with the
+// journal on) journal records and replay bases.
+std::string cops_snow_long_run_digest(LongRun run) {
+  auto proto = proto::protocol_by_name("cops-snow");
+  sim::Simulation sim;
+  sim.set_trace_retention(false);
+  proto::ClusterConfig cfg;  // the perfbench sim-sweep cluster shape
+  cfg.num_servers = 4;
+  cfg.num_clients = run == LongRun::kConcurrentZipf ? 4 : 2;
+  cfg.num_objects = 256;
+  cfg.durable_journal = run == LongRun::kSequentialJournal;
+  proto::IdSource ids;
+  auto cluster = proto->build(sim, cfg, ids);
+
+  wl::WorkloadConfig wcfg;
+  wcfg.num_txs = 2000;
+  wcfg.write_fraction = 0.1;
+  wcfg.seed = 7;
+  wcfg.collect_history = false;
+  wl::WorkloadResult result;
+  if (run == LongRun::kConcurrentZipf) {
+    wcfg.zipf_theta = 0.99;
+    result = wl::run_workload_concurrent(sim, *proto, cluster, ids, wcfg);
+  } else {
+    result = wl::run_workload_sequential(sim, *proto, cluster, ids, wcfg);
+  }
+  EXPECT_EQ(result.incomplete, 0u);
+  return sim.digest();
+}
+
+// Hash and length captured on the build before the old-reader union moved
+// off std::set; any change to hidden-set contents or order shows here.
+TEST(HotpathIdentity, CopsSnowLongRunDigestsMatchSeed) {
+  struct Pin {
+    LongRun run;
+    const char* name;
+    std::uint64_t fnv;
+    std::size_t length;
+  };
+  const Pin pins[] = {
+      {LongRun::kSequential, "sequential", 0x6e040d5d63cd24f0ull, 247061},
+      {LongRun::kConcurrentZipf, "concurrent-zipf", 0x450f80c4048d9252ull,
+       643703},
+      {LongRun::kSequentialJournal, "sequential-journal",
+       0xec76869cce2b4644ull, 256317},
+  };
+  for (const auto& pin : pins) {
+    const std::string digest = cops_snow_long_run_digest(pin.run);
+    EXPECT_EQ(fnv1a64(digest), pin.fnv)
+        << pin.name << ": 0x" << std::hex << fnv1a64(digest) << std::dec
+        << " length " << digest.size();
+    EXPECT_EQ(digest.size(), pin.length) << pin.name;
   }
 }
 
