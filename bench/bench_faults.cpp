@@ -11,17 +11,15 @@
 //                            delivery with the index; used to be O(n))
 //   BM_BacklogFindInFlight   point lookups into the same backlog
 //
-// Custom main (same contract as bench_sim):
-//   --smoke        tiny min_time per benchmark (CI wiring check)
-//   --out=PATH     JSON results path (default BENCH_faults.json)
+// Flags: the shared bench main (harness.h).
 #include <benchmark/benchmark.h>
 
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "fault/plan.h"
 #include "fault/session.h"
+#include "harness.h"
 #include "proto/registry.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -126,73 +124,25 @@ void BM_BacklogFindInFlight(benchmark::State& state) {
   }
 }
 
-bool register_benchmarks(bool smoke) {
-  try {
-    proto::protocol_by_name("cops-snow");  // validate before registering
-    benchmark::RegisterBenchmark("BM_WorkloadBaseline", BM_WorkloadBaseline);
-    benchmark::RegisterBenchmark("BM_WorkloadEmptyPlan", BM_WorkloadEmptyPlan);
-    benchmark::RegisterBenchmark("BM_WorkloadLossyPlan", BM_WorkloadLossyPlan);
-    const std::vector<std::int64_t> sizes =
-        smoke ? std::vector<std::int64_t>{1000}
-              : std::vector<std::int64_t>{1000, 10000, 100000};
-    for (auto n : sizes) {
-      benchmark::RegisterBenchmark("BM_BacklogDeliver", BM_BacklogDeliver)
-          ->Arg(n);
-      benchmark::RegisterBenchmark("BM_BacklogFindInFlight",
-                                   BM_BacklogFindInFlight)
-          ->Arg(n);
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "bench_faults: benchmark registration failed: " << e.what()
-              << "\n";
-    return false;
+void register_benchmarks(bool smoke) {
+  proto::protocol_by_name("cops-snow");  // validate before registering
+  benchmark::RegisterBenchmark("BM_WorkloadBaseline", BM_WorkloadBaseline);
+  benchmark::RegisterBenchmark("BM_WorkloadEmptyPlan", BM_WorkloadEmptyPlan);
+  benchmark::RegisterBenchmark("BM_WorkloadLossyPlan", BM_WorkloadLossyPlan);
+  const std::vector<std::int64_t> sizes =
+      smoke ? std::vector<std::int64_t>{1000}
+            : std::vector<std::int64_t>{1000, 10000, 100000};
+  for (auto n : sizes) {
+    benchmark::RegisterBenchmark("BM_BacklogDeliver", BM_BacklogDeliver)
+        ->Arg(n);
+    benchmark::RegisterBenchmark("BM_BacklogFindInFlight",
+                                 BM_BacklogFindInFlight)
+        ->Arg(n);
   }
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_faults.json";
-  bool smoke = false;
-  std::vector<char*> args;
-  std::string min_time_flag;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view a = argv[i];
-    if (a == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = std::string(a.substr(6));
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (smoke) {
-    min_time_flag = "--benchmark_min_time=0.01";
-    args.push_back(min_time_flag.data());
-  }
-  std::string out_flag = "--benchmark_out=" + out_path;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  args.push_back(out_flag.data());
-  args.push_back(fmt_flag.data());
-
-  if (!register_benchmarks(smoke)) return 1;
-
-  int argn = static_cast<int>(args.size());
-  benchmark::Initialize(&argn, args.data());
-  if (benchmark::ReportUnrecognizedArguments(argn, args.data())) return 1;
-  benchmark::AddCustomContext("discs_build_type", DISCS_BUILD_TYPE);
-  benchmark::AddCustomContext("discs_compiler", DISCS_COMPILER);
-
-  std::size_t ran = benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (ran == 0) {
-    std::cerr << "bench_faults: no benchmarks ran\n";
-    return 1;
-  }
-  std::cerr << "bench_faults: wrote " << out_path << " (" << ran
-            << " benchmarks)\n";
-  return 0;
+  return bench::run_main(argc, argv, {"bench_faults", register_benchmarks, {}});
 }

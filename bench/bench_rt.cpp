@@ -9,14 +9,11 @@
 // particular needs real cores); the committed baseline is used by
 // check_bench_regression.py for *coverage* only, like BENCH_sim.json.
 //
-// Custom main (the bench_sim pattern):
-//   --smoke            tiny workload + min_time (CI wiring check)
-//   --out=PATH         JSON results path (default BENCH_rt.json)
+// Flags: the shared bench main (harness.h; --smoke also shrinks the
+// workload), plus
 //   --metrics-out=PATH discs.metrics.v1 timeline from the sampled variant
 //                      (BM_RtSustainedSampled) — the artifact CI uploads;
 //                      render with `trace_explorer timeline`
-// plus all standard --benchmark_* flags.  Exits nonzero if registration
-// fails or zero benchmarks run.
 //
 // BM_RtSustainedSampled runs the same regime as BM_RtSustained with the
 // metrics sampler on (2ms cadence); comparing the two pins the sampler
@@ -24,10 +21,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "proto/registry.h"
 #include "rt/runtime.h"
 #include "workload/workload.h"
@@ -98,80 +95,35 @@ void BM_RtSustainedSampled(benchmark::State& state, const std::string& name) {
 
 /// Dynamic registration so a bad protocol name surfaces as a nonzero exit,
 /// not a silently missing benchmark (the bench_sim convention).
-bool register_benchmarks() {
-  try {
-    for (const char* name : {"cops", "cops-snow", "wren", "eiger", "spanner"}) {
-      proto::protocol_by_name(name);  // validate before registering
-      std::string label = std::string("BM_RtSustained/") + name;
-      auto* b = benchmark::RegisterBenchmark(label.c_str(), BM_RtSustained,
-                                             std::string(name));
-      for (auto w : {1, 2, 4, 8}) b->Arg(w);
-      b->Unit(benchmark::kMillisecond);
-      b->UseRealTime();  // worker threads do the work; CPU time misleads
-    }
-    // One sampled configuration: against BM_RtSustained/cops/4 it pins the
-    // sampler overhead, and with --metrics-out it writes the CI timeline.
-    auto* s = benchmark::RegisterBenchmark(
-        "BM_RtSustainedSampled/cops", BM_RtSustainedSampled,
-        std::string("cops"));
-    s->Arg(4);
-    s->Unit(benchmark::kMillisecond);
-    s->UseRealTime();
-    return true;
-  } catch (const std::exception& e) {
-    std::cerr << "bench_rt: registration failed: " << e.what() << "\n";
-    return false;
+void register_benchmarks(bool smoke) {
+  if (smoke) g_num_txs = 40;
+  for (const char* name : {"cops", "cops-snow", "wren", "eiger", "spanner"}) {
+    proto::protocol_by_name(name);  // validate before registering
+    std::string label = std::string("BM_RtSustained/") + name;
+    auto* b = benchmark::RegisterBenchmark(label.c_str(), BM_RtSustained,
+                                           std::string(name));
+    for (auto w : {1, 2, 4, 8}) b->Arg(w);
+    b->Unit(benchmark::kMillisecond);
+    b->UseRealTime();  // worker threads do the work; CPU time misleads
   }
+  // One sampled configuration: against BM_RtSustained/cops/4 it pins the
+  // sampler overhead, and with --metrics-out it writes the CI timeline.
+  auto* s = benchmark::RegisterBenchmark(
+      "BM_RtSustainedSampled/cops", BM_RtSustainedSampled,
+      std::string("cops"));
+  s->Arg(4);
+  s->Unit(benchmark::kMillisecond);
+  s->UseRealTime();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_rt.json";
-  bool smoke = false;
-  std::vector<char*> args;
-  std::string min_time_flag;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view a = argv[i];
-    if (a == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = std::string(a.substr(6));
-      continue;
-    }
-    if (a.rfind("--metrics-out=", 0) == 0) {
-      g_metrics_out = std::string(a.substr(14));
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (smoke) {
-    g_num_txs = 40;
-    min_time_flag = "--benchmark_min_time=0.01";
-    args.push_back(min_time_flag.data());
-  }
-  std::string out_flag = "--benchmark_out=" + out_path;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  args.push_back(out_flag.data());
-  args.push_back(fmt_flag.data());
-
-  if (!register_benchmarks()) return 1;
-
-  int argn = static_cast<int>(args.size());
-  benchmark::Initialize(&argn, args.data());
-  if (benchmark::ReportUnrecognizedArguments(argn, args.data())) return 1;
-  benchmark::AddCustomContext("discs_build_type", DISCS_BUILD_TYPE);
-  benchmark::AddCustomContext("discs_compiler", DISCS_COMPILER);
-
-  std::size_t ran = benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (ran == 0) {
-    std::cerr << "bench_rt: no benchmarks ran\n";
-    return 1;
-  }
-  std::cerr << "bench_rt: wrote " << out_path << " (" << ran
-            << " benchmarks)\n";
-  return 0;
+  auto metrics_out = [](std::string_view a) {
+    if (a.rfind("--metrics-out=", 0) != 0) return false;
+    g_metrics_out = std::string(a.substr(14));
+    return true;
+  };
+  return bench::run_main(argc, argv,
+                         {"bench_rt", register_benchmarks, metrics_out});
 }

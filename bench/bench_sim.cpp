@@ -9,11 +9,8 @@
 // comparison — the Snapshot/SnapshotDeepDiverge ratio at large histories
 // is the COW win.
 //
-// Custom main:
-//   --smoke        tiny min_time per benchmark (CI wiring check)
-//   --out=PATH     JSON results path (default BENCH_sim.json)
-// plus all standard --benchmark_* flags.  Exits nonzero if benchmark
-// registration fails or zero benchmarks run.
+// Flags: the shared bench main (harness.h: --smoke, --out=PATH, the
+// --benchmark_* flags), plus --phases (below) instead of benchmarking.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -28,6 +25,7 @@
 #include <vector>
 
 #include "clock/clocks.h"
+#include "harness.h"
 #include "kv/store.h"
 #include "obs/phase.h"
 #include "obs/registry.h"
@@ -445,103 +443,55 @@ int run_phase_report() {
 
 /// Dynamic registration so a bad protocol name or a throwing constructor
 /// surfaces as a nonzero exit, not a silently missing benchmark.
-bool register_benchmarks(bool smoke) {
-  try {
-    for (const char* name :
-         {"naivefast", "cops-snow", "wren", "eiger", "spanner"}) {
-      proto::protocol_by_name(name);  // validate before registering
-      std::string label = std::string("BM_WorkloadEvents/") + name;
-      benchmark::RegisterBenchmark(label.c_str(), BM_WorkloadEvents,
-                                   std::string(name));
-      std::string slabel = std::string("BM_WorkloadSustained/") + name;
-      benchmark::RegisterBenchmark(slabel.c_str(), BM_WorkloadSustained,
-                                   std::string(name));
-      std::string shlabel = std::string("BM_WorkloadSharded/") + name;
-      benchmark::RegisterBenchmark(shlabel.c_str(), BM_WorkloadSharded,
-                                   std::string(name));
-    }
-    benchmark::RegisterBenchmark("BM_ShardMapMillionKeys",
-                                 BM_ShardMapMillionKeys);
-    // History sizes: 50 txs ≈ hundreds of events, 1600 txs ≥ 10k events
-    // (the trace_events counter reports the measured length).
-    const std::vector<std::int64_t> txs =
-        smoke ? std::vector<std::int64_t>{50}
-              : std::vector<std::int64_t>{50, 200, 800, 1600};
-    for (auto n : txs) {
-      benchmark::RegisterBenchmark("BM_Snapshot", BM_Snapshot)->Arg(n);
-      benchmark::RegisterBenchmark("BM_SnapshotBranchTx", BM_SnapshotBranchTx)
-          ->Arg(n);
-      benchmark::RegisterBenchmark("BM_SnapshotDeepDiverge",
-                                   BM_SnapshotDeepDiverge)
-          ->Arg(n);
-    }
-    benchmark::RegisterBenchmark("BM_DigestMemoized", BM_DigestMemoized);
-    benchmark::RegisterBenchmark("BM_DigestOneTouched", BM_DigestOneTouched);
-    for (auto n : {1000, 100000})
-      benchmark::RegisterBenchmark("BM_KvLatestVisibleAt",
-                                   BM_KvLatestVisibleAt)
-          ->Arg(n);
-    benchmark::RegisterBenchmark("BM_FairSchedulerSteps",
-                                 BM_FairSchedulerSteps);
-    for (auto d : {256, 1024, 4096})
-      benchmark::RegisterBenchmark("BM_RandomSchedulerBacklog",
-                                   BM_RandomSchedulerBacklog)
-          ->Arg(d);
-    benchmark::RegisterBenchmark("BM_ParallelForSpawn", BM_ParallelForSpawn);
-    benchmark::RegisterBenchmark("BM_ParallelForPooled", BM_ParallelForPooled);
-  } catch (const std::exception& e) {
-    std::cerr << "bench_sim: benchmark registration failed: " << e.what()
-              << "\n";
-    return false;
+void register_benchmarks(bool smoke) {
+  for (const char* name :
+       {"naivefast", "cops-snow", "wren", "eiger", "spanner"}) {
+    proto::protocol_by_name(name);  // validate before registering
+    std::string label = std::string("BM_WorkloadEvents/") + name;
+    benchmark::RegisterBenchmark(label.c_str(), BM_WorkloadEvents,
+                                 std::string(name));
+    std::string slabel = std::string("BM_WorkloadSustained/") + name;
+    benchmark::RegisterBenchmark(slabel.c_str(), BM_WorkloadSustained,
+                                 std::string(name));
+    std::string shlabel = std::string("BM_WorkloadSharded/") + name;
+    benchmark::RegisterBenchmark(shlabel.c_str(), BM_WorkloadSharded,
+                                 std::string(name));
   }
-  return true;
+  benchmark::RegisterBenchmark("BM_ShardMapMillionKeys",
+                               BM_ShardMapMillionKeys);
+  // History sizes: 50 txs ≈ hundreds of events, 1600 txs ≥ 10k events
+  // (the trace_events counter reports the measured length).
+  const std::vector<std::int64_t> txs =
+      smoke ? std::vector<std::int64_t>{50}
+            : std::vector<std::int64_t>{50, 200, 800, 1600};
+  for (auto n : txs) {
+    benchmark::RegisterBenchmark("BM_Snapshot", BM_Snapshot)->Arg(n);
+    benchmark::RegisterBenchmark("BM_SnapshotBranchTx", BM_SnapshotBranchTx)
+        ->Arg(n);
+    benchmark::RegisterBenchmark("BM_SnapshotDeepDiverge",
+                                 BM_SnapshotDeepDiverge)
+        ->Arg(n);
+  }
+  benchmark::RegisterBenchmark("BM_DigestMemoized", BM_DigestMemoized);
+  benchmark::RegisterBenchmark("BM_DigestOneTouched", BM_DigestOneTouched);
+  for (auto n : {1000, 100000})
+    benchmark::RegisterBenchmark("BM_KvLatestVisibleAt",
+                                 BM_KvLatestVisibleAt)
+        ->Arg(n);
+  benchmark::RegisterBenchmark("BM_FairSchedulerSteps",
+                               BM_FairSchedulerSteps);
+  for (auto d : {256, 1024, 4096})
+    benchmark::RegisterBenchmark("BM_RandomSchedulerBacklog",
+                                 BM_RandomSchedulerBacklog)
+        ->Arg(d);
+  benchmark::RegisterBenchmark("BM_ParallelForSpawn", BM_ParallelForSpawn);
+  benchmark::RegisterBenchmark("BM_ParallelForPooled", BM_ParallelForPooled);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_sim.json";
-  bool smoke = false;
-  std::vector<char*> args;
-  std::string min_time_flag;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view a = argv[i];
-    if (a == "--phases") return run_phase_report();
-    if (a == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    if (a.rfind("--out=", 0) == 0) {
-      out_path = std::string(a.substr(6));
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (smoke) {
-    min_time_flag = "--benchmark_min_time=0.01";
-    args.push_back(min_time_flag.data());
-  }
-  // Route the JSON through the library's own file reporter.
-  std::string out_flag = "--benchmark_out=" + out_path;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  args.push_back(out_flag.data());
-  args.push_back(fmt_flag.data());
-
-  if (!register_benchmarks(smoke)) return 1;
-
-  int argn = static_cast<int>(args.size());
-  benchmark::Initialize(&argn, args.data());
-  if (benchmark::ReportUnrecognizedArguments(argn, args.data())) return 1;
-  benchmark::AddCustomContext("discs_build_type", DISCS_BUILD_TYPE);
-  benchmark::AddCustomContext("discs_compiler", DISCS_COMPILER);
-
-  std::size_t ran = benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (ran == 0) {
-    std::cerr << "bench_sim: no benchmarks ran\n";
-    return 1;
-  }
-  std::cerr << "bench_sim: wrote " << out_path << " (" << ran
-            << " benchmarks)\n";
-  return 0;
+  for (int i = 1; i < argc; ++i)
+    if (std::string_view(argv[i]) == "--phases") return run_phase_report();
+  return bench::run_main(argc, argv, {"bench_sim", register_benchmarks, {}});
 }

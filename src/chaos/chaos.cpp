@@ -4,6 +4,7 @@
 #include "fault/session.h"
 #include "impossibility/progress.h"
 #include "obs/registry.h"
+#include "obs/trace_io.h"
 #include "proto/registry.h"
 #include "chaos/shrink.h"
 #include "util/check.h"
@@ -15,7 +16,6 @@ namespace discs::chaos {
 using discs::fault::FaultPlan;
 using discs::fault::FaultRule;
 using discs::fault::Selector;
-using discs::proto::ClientBase;
 using discs::proto::Cluster;
 using discs::proto::IdSource;
 using discs::proto::Protocol;
@@ -102,10 +102,6 @@ RunOutcome run_once(const Protocol& proto, const FaultPlan& plan,
   try {
     IdSource ids;
     Cluster cluster = proto.build(sim, cfg.cluster, ids);
-    if (cfg.client_retransmit_after > 0)
-      for (auto c : cluster.clients)
-        sim.process_as<ClientBase>(c).set_retransmit_after(
-            cfg.client_retransmit_after);
     fault::FaultSession session(plan,
                                 {cluster.view.servers, cluster.clients});
     auto result = wl::run_workload_concurrent_faulted(
@@ -147,7 +143,6 @@ RunOutcome run_once(const Protocol& proto, const FaultPlan& plan,
     if (cfg.audit_liveness) {
       imposs::ProgressOptions popts;
       popts.cluster = cfg.cluster;
-      popts.client_retransmit_after = cfg.client_retransmit_after;
       auto report = imposs::audit_progress(proto, plan, popts);
       if (report.starved()) {
         out.violation = ViolationClass::kLiveness;
@@ -204,17 +199,9 @@ constexpr const char* kReproSchema = "discs.chaosrepro.v1";
 }
 
 obs::Json ReproSpec::to_json() const {
-  obs::JsonObject cl{
-      {"servers", obs::Json(std::uint64_t(cluster.num_servers))},
-      {"clients", obs::Json(std::uint64_t(cluster.num_clients))},
-      {"objects", obs::Json(std::uint64_t(cluster.num_objects))},
-      {"replication", obs::Json(std::uint64_t(cluster.replication))},
-      {"tt_epsilon", obs::Json(cluster.tt_epsilon)},
-      {"gossip_interval", obs::Json(std::uint64_t(cluster.gossip_interval))},
-      {"exactly_once", obs::Json(cluster.exactly_once)},
-      {"durable_journal", obs::Json(cluster.durable_journal)},
-      {"journal_compact_threshold",
-       obs::Json(std::uint64_t(cluster.journal_compact_threshold))}};
+  // v1 keeps the retransmit base at the top level, not in "cluster".
+  proto::ClusterConfig shape = cluster;
+  shape.client_retransmit_after = 0;
   obs::JsonObject wl{
       {"num_txs", obs::Json(std::uint64_t(workload.num_txs))},
       {"write_fraction", obs::Json(workload.write_fraction)},
@@ -229,8 +216,8 @@ obs::Json ReproSpec::to_json() const {
       {"protocol", obs::Json(protocol)},
       {"expected", obs::Json(violation_class_str(expected))},
       {"client_retransmit_after",
-       obs::Json(std::uint64_t(client_retransmit_after))},
-      {"cluster", obs::Json(std::move(cl))},
+       obs::Json(std::uint64_t(cluster.client_retransmit_after))},
+      {"cluster", obs::cluster_config_json(shape)},
       {"workload", obs::Json(std::move(wl))},
       {"plan", plan.to_json()}};
   if (!flight.empty()) {
@@ -253,19 +240,9 @@ ReproSpec ReproSpec::from_json(const obs::Json& doc) {
   spec.expected = cls == "safety"     ? ViolationClass::kSafety
                   : cls == "liveness" ? ViolationClass::kLiveness
                                       : ViolationClass::kNone;
-  spec.client_retransmit_after =
+  spec.cluster = obs::cluster_config_from_json(doc.get("cluster"));
+  spec.cluster.client_retransmit_after =
       doc.get("client_retransmit_after").as_uint();
-  const obs::Json& cl = doc.get("cluster");
-  spec.cluster.num_servers = cl.get("servers").as_uint();
-  spec.cluster.num_clients = cl.get("clients").as_uint();
-  spec.cluster.num_objects = cl.get("objects").as_uint();
-  spec.cluster.replication = cl.get("replication").as_uint();
-  spec.cluster.tt_epsilon = cl.get("tt_epsilon").as_uint();
-  spec.cluster.gossip_interval = cl.get("gossip_interval").as_uint();
-  spec.cluster.exactly_once = cl.get("exactly_once").as_bool();
-  spec.cluster.durable_journal = cl.get("durable_journal").as_bool();
-  spec.cluster.journal_compact_threshold =
-      cl.get("journal_compact_threshold").as_uint();
   const obs::Json& w = doc.get("workload");
   spec.workload.num_txs = w.get("num_txs").as_uint();
   spec.workload.write_fraction = w.get("write_fraction").as_double();
@@ -295,7 +272,6 @@ ReproSpec make_repro(const Protocol& proto, const Counterexample& cex,
   spec.protocol = proto.name();
   spec.cluster = cfg.cluster;
   spec.workload = cfg.workload;
-  spec.client_retransmit_after = cfg.client_retransmit_after;
   spec.plan = cex.minimized;
   spec.expected = cex.cls;
   spec.flight = cex.flight;
@@ -307,7 +283,6 @@ RunOutcome run_repro(const ReproSpec& spec) {
   CampaignConfig cfg;
   cfg.cluster = spec.cluster;
   cfg.workload = spec.workload;
-  cfg.client_retransmit_after = spec.client_retransmit_after;
   return run_once(*proto, spec.plan, cfg);
 }
 

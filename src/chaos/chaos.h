@@ -30,16 +30,15 @@
 namespace discs::chaos {
 
 struct CampaignConfig {
-  proto::ClusterConfig cluster;
+  /// Campaigns arm every client's retransmit ladder (workload clients and
+  /// the progress auditor's) at base 8 by default: the backbone of the
+  /// fairness envelope under drop rules.
+  proto::ClusterConfig cluster{.client_retransmit_after = 8};
   wl::WorkloadConfig workload;
   /// Campaign seed; run i uses a plan derived from (seed, i).
   std::uint64_t seed = 1;
   /// Fault plans generated and executed per campaign.
   std::size_t runs = 8;
-  /// ClientBase retransmit threshold armed on every workload client and on
-  /// the progress auditor's clients; the backbone of the fairness envelope
-  /// under drop rules.
-  std::size_t client_retransmit_after = 8;
   /// Also run imposs::audit_progress per plan (liveness certification).
   bool audit_liveness = true;
   /// Budget for the shrinker: candidate re-executions per counterexample.
@@ -89,8 +88,8 @@ struct CampaignResult {
 fault::FaultPlan random_plan(std::uint64_t campaign_seed, std::size_t index,
                              const proto::ClusterConfig& cluster);
 
-/// One execution: build the cluster, arm client retransmits, run the
-/// faulted concurrent workload, check safety; optionally audit progress.
+/// One execution: build the cluster, run the faulted concurrent workload,
+/// check safety; optionally audit progress.
 RunOutcome run_once(const proto::Protocol& proto,
                     const fault::FaultPlan& plan, const CampaignConfig& cfg);
 
@@ -100,12 +99,14 @@ RunOutcome run_once(const proto::Protocol& proto,
 CampaignResult run_campaign(const proto::Protocol& proto,
                             const CampaignConfig& cfg);
 
-/// Replayable counterexample document, schema "discs.chaosrepro.v1".
+/// Replayable counterexample document, schema "discs.chaosrepro.v1".  The
+/// cluster is written with the trace header's codec
+/// (obs::cluster_config_json), except that v1 keeps the client retransmit
+/// base as a top-level "client_retransmit_after" key.
 struct ReproSpec {
   std::string protocol;
   proto::ClusterConfig cluster;
   wl::WorkloadConfig workload;
-  std::size_t client_retransmit_after = 8;
   fault::FaultPlan plan;
   ViolationClass expected = ViolationClass::kNone;
   /// Flight-recorder tail attached by make_repro.  Optional in the JSON

@@ -34,9 +34,6 @@ ProgressReport audit_progress(const Protocol& proto,
   const ProcessId writer = cluster.clients.front();
   TxSpec write = ids.write_one(obj);
   const ValueId written = write.write_set.front().second;
-  if (options.client_retransmit_after > 0)
-    sim.process_as<ClientBase>(writer).set_retransmit_after(
-        options.client_retransmit_after);
   sim.process_as<ClientBase>(writer).invoke(write);
 
   fault::run_fair_faulted(
@@ -60,9 +57,6 @@ ProgressReport audit_progress(const Protocol& proto,
   const ProcessId reader = proto.add_client(probe, cluster.view);
   probe_session.note_client(reader);
   TxSpec rot = ids.read_tx({obj});
-  if (options.client_retransmit_after > 0)
-    probe.process_as<ClientBase>(reader).set_retransmit_after(
-        options.client_retransmit_after);
   probe.process_as<ClientBase>(reader).invoke(rot);
   fault::run_fair_faulted(
       probe, probe_session, {},

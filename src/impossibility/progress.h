@@ -23,6 +23,10 @@
 namespace discs::imposs {
 
 struct ProgressOptions {
+  /// The audited cluster.  A nonzero cluster.client_retransmit_after arms
+  /// the writer and the probe reader, so the audit exercises recovery from
+  /// message *loss* (not just delay).  Pair it with exactly_once —
+  /// otherwise retransmit duplicates reach protocol handlers unprotected.
   discs::proto::ClusterConfig cluster;
   /// Events to drive the main faulted execution after the write completes
   /// (gossip/stabilization time under the adversary).
@@ -30,11 +34,6 @@ struct ProgressOptions {
   /// Events for the write itself and for the visibility probe.
   std::size_t drive_budget = 20000;
   std::size_t probe_budget = 20000;
-  /// When nonzero, arms ClientBase::set_retransmit_after on the writer and
-  /// on the probe reader, so the audit exercises recovery from message
-  /// *loss* (not just delay).  Pair with ClusterConfig::exactly_once —
-  /// otherwise retransmit duplicates reach protocol handlers unprotected.
-  std::size_t client_retransmit_after = 0;
 };
 
 struct ProgressReport {

@@ -171,6 +171,17 @@ std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events);
 /// schema version.
 TraceDoc import_jsonl(std::string_view text);
 
+/// The one JSON form of a ClusterConfig: the "cluster" object of trace
+/// headers and of chaos repro specs.  The six shape keys (servers, clients,
+/// objects, replication, tt_epsilon, gossip_interval) are always written;
+/// every other knob only when it differs from its default, so artifacts of
+/// default configurations keep the bytes they had before the knob existed
+/// ("shards" only when num_shards > 1).  The reader requires the shape keys
+/// and looks the others up by name, so documents written before a knob
+/// existed still import.
+Json cluster_config_json(const proto::ClusterConfig& cfg);
+proto::ClusterConfig cluster_config_from_json(const Json& j);
+
 /// Result of re-executing an imported document on a fresh simulation.
 struct DocReplay {
   bool ok = false;           ///< every invoke + event applied cleanly

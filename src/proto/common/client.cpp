@@ -11,7 +11,9 @@
 namespace discs::proto {
 
 ClientBase::ClientBase(ProcessId id, ClusterView view)
-    : sim::Process(id), view_(std::move(view)) {}
+    : sim::Process(id), view_(std::move(view)) {
+  ladder_.set_base(view_.config.client_retransmit_after);
+}
 
 void ClientBase::invoke(const TxSpec& spec) {
   DISCS_CHECK_MSG(!active_.has_value(),
@@ -56,7 +58,7 @@ void ClientBase::on_step(sim::StepContext& ctx,
   if (active_ && !started_) {
     started_ = true;
     invoke_seq_ = ctx.now();
-    if (view_.record_spans)
+    if (view_.config.record_spans)
       obs::SpanLog::global().note({obs::SpanNote::Kind::kTxBegin,
                                    active_->id.value(), id().value(),
                                    ctx.now(), 0});
@@ -78,7 +80,7 @@ void ClientBase::on_step(sim::StepContext& ctx,
   // server is one request wave of the active transaction — the same rule
   // imposs::audit_rot uses to count R, applied via the shared
   // rot_request_tx attribution.  Also before the wrap pass.
-  if (view_.record_spans && active_ && started_) {
+  if (view_.config.record_spans && active_ && started_) {
     bool wave = false;
     for (const auto& [dst, payload] : ctx.outgoing()) {
       if (rot_request_tx(*payload) != active_->id) continue;
@@ -95,7 +97,7 @@ void ClientBase::on_step(sim::StepContext& ctx,
   // identity envelopes.  Must precede the retransmit bookkeeping below so
   // tx_sends_ records the wrapped form — a later re-send then carries the
   // same ReqIds and servers dedup it instead of re-executing.
-  if (view_.exactly_once)
+  if (view_.config.exactly_once)
     stamper_.wrap_outgoing(id(), view_, ctx.outgoing_mut());
 
   // Timeout/retransmit hook: when enabled, a transaction that has stalled
@@ -177,7 +179,7 @@ void ClientBase::complete_active(sim::StepContext& ctx) {
       reg.inc("client.rot.rounds",
               static_cast<std::uint64_t>(max_rot_round_));
   }
-  if (view_.record_spans)
+  if (view_.config.record_spans)
     obs::SpanLog::global().note({obs::SpanNote::Kind::kTxEnd,
                                  active_->id.value(), id().value(),
                                  ctx.now(), span_waves_});
@@ -225,7 +227,7 @@ std::string ClientBase::state_digest() const {
     b.field("rtx", cat(ladder_.base(), "/", ladder_.stalls(), "/",
                        tx_sends_.size(), "/a", ladder_.attempt(), "/t",
                        ladder_.total()));
-  if (view_.exactly_once) b.field("eo", stamper_.digest());
+  if (view_.config.exactly_once) b.field("eo", stamper_.digest());
   b.raw(proto_digest());
   return b.str();
 }

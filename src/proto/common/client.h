@@ -28,13 +28,12 @@ namespace discs::proto {
 /// Cross-shard fan-out/join bookkeeping for one round of a transaction.
 ///
 /// Every protocol client runs the same loop: group the round's objects by
-/// routing server (the shard primary under a ShardMap, the placement
-/// primary otherwise), send one request per server, then hold the
-/// transaction open until each of those servers has replied.  ShardRouter
-/// owns that loop's state; protocols keep only the round *payloads* and
-/// *semantics*.  The awaited set renders exactly like the per-protocol
-/// `awaiting_` sets it replaced (join of sorted raw ids), so protocol
-/// digests are byte-identical to pre-router builds.
+/// routing server (the shard primary), send one request per server, then
+/// hold the transaction open until each of those servers has replied.
+/// ShardRouter owns that loop's state; protocols keep only the round
+/// *payloads* and *semantics*.  The awaited set renders exactly like the
+/// per-protocol `awaiting_` sets it replaced (join of sorted raw ids), so
+/// protocol digests are byte-identical to pre-router builds.
 class ShardRouter {
  public:
   /// Routes `objects` through group_by_primary and sends
@@ -81,21 +80,10 @@ class ShardRouter {
 
 class ClientBase : public sim::Process {
  public:
-  ClientBase(ProcessId id, ClusterView view);
-
-  /// Harness API: schedules `spec` to start at this client's next step.
-  /// A client executes one transaction at a time.  Throws CheckFailure if
-  /// the spec is a multi-object write transaction and the protocol does not
-  /// support those (the W property).
-  void invoke(const TxSpec& spec);
-
-  /// The W property: whether this protocol's transactions may write more
-  /// than one object.
-  virtual bool supports_multi_write() const { return true; }
-
-  /// Timeout/retransmit hook for lossy networks (src/fault): when an
-  /// active transaction has neither received nor sent anything for long
-  /// enough, the client re-sends every message it has sent for that
+  /// Arms the timeout/retransmit hook for lossy networks (src/fault) with
+  /// base `steps` = the view's ClusterConfig::client_retransmit_after:
+  /// when an active transaction has neither received nor sent anything for
+  /// long enough, the client re-sends every message it has sent for that
   /// transaction so far.  The stall threshold starts at `steps` and backs
   /// off exponentially per consecutive retransmit (doubling, capped at
   /// 64x) plus deterministic jitter derived from digest-visible state
@@ -113,7 +101,17 @@ class ClientBase : public sim::Process {
   /// The tick domain is the caller's: the simulator counts stalled steps,
   /// the rt backend fires one empty step per wall-clock retransmit period —
   /// both drive the same BackoffLadder (proto/common/backoff.h).
-  void set_retransmit_after(std::size_t steps) { ladder_.set_base(steps); }
+  ClientBase(ProcessId id, ClusterView view);
+
+  /// Harness API: schedules `spec` to start at this client's next step.
+  /// A client executes one transaction at a time.  Throws CheckFailure if
+  /// the spec is a multi-object write transaction and the protocol does not
+  /// support those (the W property).
+  void invoke(const TxSpec& spec);
+
+  /// The W property: whether this protocol's transactions may write more
+  /// than one object.
+  virtual bool supports_multi_write() const { return true; }
 
   bool idle() const { return !active_.has_value(); }
   bool has_completed(TxId tx) const { return completed_.count(tx) > 0; }
@@ -157,9 +155,8 @@ class ClientBase : public sim::Process {
   bool started_ = false;
   std::uint64_t invoke_seq_ = 0;
   int max_rot_round_ = 0;  ///< highest RotRequest round sent for active tx
-  /// Request waves noted for the active transaction (view_.record_spans
-  /// only).  Not part of state_digest: span recording must not perturb
-  /// digests.
+  /// Request waves noted for the active transaction (record_spans only).
+  /// Not part of state_digest: span recording must not perturb digests.
   std::size_t span_waves_ = 0;
   std::map<ObjectId, ValueId> read_results_;
   std::map<TxId, std::map<ObjectId, ValueId>> completed_;
@@ -171,7 +168,7 @@ class ClientBase : public sim::Process {
   BackoffLadder ladder_;
   std::vector<std::pair<ProcessId, std::shared_ptr<const sim::Payload>>>
       tx_sends_;  ///< every send of the active transaction, for re-sending
-  /// Exactly-once sender state (inert unless view_.exactly_once).
+  /// Exactly-once sender state (inert unless view_.config.exactly_once).
   SessionStamper stamper_;
 };
 

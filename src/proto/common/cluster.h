@@ -5,13 +5,11 @@
 // simple model of Theorem 1); with replication > 1 the system is partially
 // replicated (Appendix A): sets overlap but no server stores everything.
 //
-// Two placement regimes (docs/SHARDING.md):
-//  * flat (num_shards == 1, the default): objects are placed round-robin
-//    and enumerated in ClusterView::placement — byte-identical to every
-//    pre-sharding artifact;
-//  * sharded (num_shards > 1): keys route to shards (key mod N) and shards
-//    to replica groups via a ShardMap; placement is computed arithmetically
-//    and never enumerated, so clusters scale to millions of keys.
+// Placement is one ShardMap (proto/common/shard.h, docs/SHARDING.md): keys
+// route to shards (key mod N) and shards to replica groups, computed
+// arithmetically and never enumerated.  The default num_shards == 1 means
+// one shard per object — the round-robin layout every pre-sharding
+// artifact was captured under.
 #pragma once
 
 #include <map>
@@ -25,59 +23,22 @@
 
 namespace discs::proto {
 
-/// Immutable description of the cluster every process carries.
-struct ClusterView {
-  std::vector<ProcessId> servers;
-  std::vector<ObjectId> objects;
-  /// object -> replica servers (first entry is the primary).  Enumerated
-  /// only in the flat regime; empty when `shards` is enabled (placement is
-  /// then computed, never stored).
-  std::map<ObjectId, std::vector<ProcessId>> placement;
-  /// Sharded placement (ClusterConfig::num_shards > 1).  Disabled by
-  /// default, in which case every accessor below reads `placement`.
-  ShardMap shards;
-
-  /// Robustness switches, copied from ClusterConfig by make_view so that
-  /// every process built from this view — including probe clients added
-  /// later via Protocol::add_client — inherits them.  Both default off,
-  /// which keeps digests and traces byte-identical to pre-session-layer
-  /// builds.
-  bool exactly_once = false;    ///< session envelopes + server dedup
-  bool durable_journal = false; ///< write-ahead journal survives lossy crash
-  std::size_t journal_compact_threshold = 256;
-  /// Span/cause annotations (obs/span.h): ClientBase and ServerBase note tx
-  /// begin/round/end and server recv/reply moments into the thread-local
-  /// SpanLog as they step.  Off by default: notes cost time and the trace
-  /// exporter only emits span records when this is set.
-  bool record_spans = false;
-
-  ProcessId primary(ObjectId obj) const;
-  const std::vector<ProcessId>& replicas(ObjectId obj) const;
-  bool server_stores(ProcessId server, ObjectId obj) const;
-  std::vector<ObjectId> objects_at(ProcessId server) const;
-  std::size_t server_index(ProcessId server) const;
-
-  /// The distinct primary servers covering `objs` (used by clients to fan
-  /// out requests).
-  std::vector<ProcessId> primaries_for(const std::vector<ObjectId>& objs) const;
-};
-
 struct ClusterConfig {
   std::size_t num_servers = 2;
   std::size_t num_clients = 4;
   std::size_t num_objects = 2;
-  /// Replicas per object.  1 = disjoint placement (Theorem 1 model);
-  /// >1 = partial replication (Appendix A model).  In the sharded regime
-  /// this is the replica-group size R of every shard.
+  /// Replicas per object, the replica-group size R of every shard.
+  /// 1 = disjoint placement (Theorem 1 model); >1 = partial replication
+  /// (Appendix A model).  Must stay below num_servers: no server stores
+  /// everything.
   std::size_t replication = 1;
   /// Shard count N of the general Appendix A cluster (docs/SHARDING.md).
-  /// 1 (default) keeps the legacy flat round-robin placement and leaves
-  /// every digest, golden and trace artifact byte-identical.  > 1 routes
-  /// key k to shard k mod N; shard s lives on the R consecutive servers
-  /// starting at servers[s mod m] (the first is the primary clients route
-  /// to).  Requires num_shards >= num_servers (every server stores at
-  /// least one shard), replication < num_servers (partial replication: no
-  /// server stores everything) and num_objects >= num_shards.
+  /// Key k routes to shard k mod N; shard s lives on the R consecutive
+  /// servers starting at servers[s mod m] (the first is the primary
+  /// clients route to).  1 (default) places one shard per object (N =
+  /// num_objects), the round-robin layout that leaves every digest, golden
+  /// and trace artifact byte-identical.  Requires num_shards >= num_servers
+  /// (every server stores at least one shard) and num_objects >= num_shards.
   std::size_t num_shards = 1;
   /// TrueTime uncertainty half-width for clock-based protocols.
   std::uint64_t tt_epsilon = 5;
@@ -99,13 +60,37 @@ struct ClusterConfig {
   /// profiled offline (obs/span_dag.h).  Purely additive: simulation
   /// behavior, digests and span-free trace bytes are unchanged.
   bool record_spans = false;
-  /// When nonzero, Protocol::build arms every client's retransmit backoff
-  /// ladder (ClientBase::set_retransmit_after) with this base.  Carried in
-  /// the trace header so a captured run with retransmits enabled — e.g. an
-  /// rt-backend run pacing the ladder off wall-clock ticks — rebuilds into
-  /// clients with the same ladder and replays byte-exactly.  0 (default)
-  /// keeps digests and trace bytes identical to pre-knob builds.
+  /// When nonzero, every client built on this cluster — including probe
+  /// clients added later through Protocol::add_client — arms its
+  /// retransmit backoff ladder (the ClientBase constructor) with this
+  /// base.  Carried in the trace header so a captured run with retransmits
+  /// enabled — e.g. an rt-backend run pacing the ladder off wall-clock
+  /// ticks — rebuilds into clients with the same ladder and replays
+  /// byte-exactly.  0 (default) keeps digests and trace bytes identical to
+  /// pre-knob builds.
   std::size_t client_retransmit_after = 0;
+};
+
+/// Immutable description of the cluster every process carries.
+struct ClusterView {
+  std::vector<ProcessId> servers;
+  std::vector<ObjectId> objects;
+  /// Object placement (O(m) metadata, independent of key count).
+  ShardMap shards;
+  /// The configuration the view was built from, so every process built
+  /// from this view reads the same knobs.
+  ClusterConfig config;
+
+  ProcessId primary(ObjectId obj) const { return replicas(obj).front(); }
+  const std::vector<ProcessId>& replicas(ObjectId obj) const {
+    return shards.replicas_of(obj);
+  }
+  bool server_stores(ProcessId server, ObjectId obj) const {
+    return shards.server_stores(server, obj);
+  }
+  std::vector<ObjectId> objects_at(ProcessId server) const {
+    return shards.objects_at(server);
+  }
 };
 
 /// Result of building a cluster into a simulation.
@@ -133,8 +118,8 @@ class Protocol {
   virtual bool claims_fast_rot() const = 0;
 
   /// Builds servers (ids 0..m-1), seeds initial values, then creates
-  /// `cfg.num_clients` clients.  Object placement is round-robin with
-  /// `cfg.replication` replicas, or shard-mapped when cfg.num_shards > 1.
+  /// `cfg.num_clients` clients.  Objects are placed by make_view's
+  /// ShardMap.
   Cluster build(sim::Simulation& sim, const ClusterConfig& cfg,
                 IdSource& ids) const;
 
@@ -145,17 +130,18 @@ class Protocol {
 
  protected:
   virtual std::unique_ptr<ServerBase> make_server(
-      ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-      const ClusterConfig& cfg) const = 0;
+      ProcessId id, const ClusterView& view) const = 0;
 };
 
-/// Computes the round-robin placement used by Protocol::build.
+/// The view Protocol::build hands every process: `cfg` placed by one
+/// ShardMap over servers numbered from `first_server`.  Throws CheckFailure
+/// on a configuration outside the model (ShardMap::make's invariants).
 ClusterView make_view(const ClusterConfig& cfg, ProcessId first_server);
 
-/// Groups objects by their primary server (the shard primary under a
-/// ShardMap), preserving object order — the routing primitive behind every
-/// client's fan-out: one message per involved server.  ShardRouter
-/// (proto/common/client.h) layers join bookkeeping on top.
+/// Groups objects by their primary server (the shard primary), preserving
+/// object order — the routing primitive behind every client's fan-out: one
+/// message per involved server.  ShardRouter (proto/common/client.h)
+/// layers join bookkeeping on top.
 std::map<ProcessId, std::vector<ObjectId>> group_by_primary(
     const ClusterView& view, const std::vector<ObjectId>& objects);
 

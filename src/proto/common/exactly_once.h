@@ -1,6 +1,6 @@
 // Exactly-once session layer.
 //
-// The retransmit hook (ClientBase::set_retransmit_after) and the fault
+// The retransmit hook (ClusterConfig::client_retransmit_after) and the fault
 // layer's `duplicate` rules both deliver the same protocol request to a
 // server more than once.  Most protocol handlers are not idempotent: a
 // repeated WriteRequest re-runs a 2PC, a repeated PrepareAck double-

@@ -20,15 +20,10 @@ void count_recv(const sim::Payload& payload) {
 
 }  // namespace
 
-ServerBase::ServerBase(ProcessId id, ClusterView view,
-                       std::vector<ObjectId> stored)
+ServerBase::ServerBase(ProcessId id, ClusterView view)
     : sim::Process(id),
       view_(std::move(view)),
-      stored_(std::move(stored)),
-      journal_(view_.journal_compact_threshold) {
-  DISCS_CHECK_MSG(!stored_.empty(),
-                  "each server stores a non-empty set of objects");
-}
+      journal_(view_.config.journal_compact_threshold) {}
 
 void ServerBase::seed(ObjectId obj, ValueId value) {
   DISCS_CHECK(stores(obj));
@@ -42,7 +37,7 @@ void ServerBase::seed(ObjectId obj, ValueId value) {
 
 void ServerBase::on_crash() {
   auto& reg = obs::Registry::global();
-  if (view_.durable_journal) {
+  if (view_.config.durable_journal) {
     // The journal (and the dedup/session state riding in its durability
     // domain) survives; rebuild the store from it instead of losing the
     // accepted writes.  Pending dedup entries stand for executions that
@@ -68,12 +63,9 @@ void ServerBase::on_crash() {
 }
 
 bool ServerBase::stores(ObjectId obj) const {
-  // Sharded: O(1) residue arithmetic.  The flat scan would make seeding a
-  // million-key shard quadratic (build calls stores() once per seed).
-  if (view_.shards.enabled()) return view_.shards.server_stores(id(), obj);
-  for (auto o : stored_)
-    if (o == obj) return true;
-  return false;
+  // O(1) residue arithmetic: a scan would make seeding a million-key shard
+  // quadratic (build calls stores() once per seed).
+  return view_.shards.server_stores(id(), obj);
 }
 
 void ServerBase::on_step(sim::StepContext& ctx,
@@ -117,7 +109,7 @@ void ServerBase::on_step(sim::StepContext& ctx,
   // via the shared rot_request_tx over the *outer* payload parts — the same
   // visibility imposs::audit_rot has (neither unwraps SessionEnvelope), so
   // offline profiles agree with the live audit.  Deduped per step.
-  if (view_.record_spans) {
+  if (view_.config.record_spans) {
     std::vector<std::uint64_t> seen;
     for (const auto& m : inbox) {
       sim::for_each_part(
@@ -138,7 +130,7 @@ void ServerBase::on_step(sim::StepContext& ctx,
 
   // Span hook: ROT replies queued this step, before the wrap pass while the
   // payloads are still bare.
-  if (view_.record_spans) {
+  if (view_.config.record_spans) {
     std::vector<std::uint64_t> seen;
     for (const auto& [dst, payload] : ctx.outgoing()) {
       TxId tx = rot_reply_tx(*payload);
@@ -151,7 +143,7 @@ void ServerBase::on_step(sim::StepContext& ctx,
     }
   }
 
-  if (view_.exactly_once) {
+  if (view_.config.exactly_once) {
     // Wrap our own server->server sends first so that what gets memoized
     // (and thus replayed on a duplicate) carries the final ReqIds.
     stamper_.wrap_outgoing(id(), view_, ctx.outgoing_mut());
@@ -169,9 +161,9 @@ std::string ServerBase::state_digest() const {
   b.field("store", store_.digest());
   // Only present when the respective layer is on, so default-configured
   // digests are byte-identical to pre-layer builds.
-  if (view_.exactly_once)
+  if (view_.config.exactly_once)
     b.field("eo", stamper_.digest() + "/" + dedup_.digest());
-  if (view_.durable_journal) b.field("wal", journal_.digest());
+  if (view_.config.durable_journal) b.field("wal", journal_.digest());
   b.raw(proto_digest());
   return b.str();
 }

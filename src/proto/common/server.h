@@ -25,7 +25,7 @@ namespace discs::proto {
 
 class ServerBase : public sim::Process {
  public:
-  ServerBase(ProcessId id, ClusterView view, std::vector<ObjectId> stored);
+  ServerBase(ProcessId id, ClusterView view);
 
   /// Seeds an initial value (visible, timestamp {0,0}, the paper's x_in).
   /// Called by Protocol::build before any client runs.  Seeds are the
@@ -33,7 +33,6 @@ class ServerBase : public sim::Process {
   void seed(ObjectId obj, ValueId value);
 
   const kv::VersionedStore& store() const { return store_; }
-  const std::vector<ObjectId>& stored_objects() const { return stored_; }
   bool stores(ObjectId obj) const;
 
   // --- sim::Process ---
@@ -62,20 +61,20 @@ class ServerBase : public sim::Process {
   /// Mutation handle: journals each put/make_visible when the journal
   /// layer is on, plain pass-through otherwise.
   JournaledStore store_mut() {
-    return JournaledStore(store_, view_.durable_journal ? &journal_ : nullptr);
+    return JournaledStore(store_,
+                          view_.config.durable_journal ? &journal_ : nullptr);
   }
-  std::size_t my_index() const { return view_.server_index(id()); }
+  std::size_t my_index() const { return view_.shards.server_index(id()); }
 
  private:
   ClusterView view_;
-  std::vector<ObjectId> stored_;
   kv::VersionedStore store_;
   /// The seed() calls made at build time, replayed by a lossy on_crash.
   std::vector<std::pair<ObjectId, ValueId>> seeded_;
-  /// Exactly-once layer (inert unless view_.exactly_once).
+  /// Exactly-once layer (inert unless view_.config.exactly_once).
   DedupTable dedup_;
   SessionStamper stamper_;
-  /// Write-ahead journal (inert unless view_.durable_journal).
+  /// Write-ahead journal (inert unless view_.config.durable_journal).
   Journal journal_;
 };
 

@@ -29,8 +29,8 @@ ShardMap ShardMap::make(std::size_t num_shards, std::size_t replicas,
   map.num_servers_ = m;
   map.num_objects_ = num_objects;
   map.first_server_ = servers[0].value();
-  map.groups_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
+  map.groups_.reserve(m);
+  for (std::size_t s = 0; s < m; ++s) {
     std::vector<ProcessId> group;
     group.reserve(replicas);
     for (std::size_t r = 0; r < replicas; ++r)
@@ -41,8 +41,8 @@ ShardMap ShardMap::make(std::size_t num_shards, std::size_t replicas,
 }
 
 const std::vector<ProcessId>& ShardMap::group(std::size_t shard) const {
-  DISCS_CHECK_MSG(shard < groups_.size(), "shard out of range");
-  return groups_[shard];
+  DISCS_CHECK_MSG(shard < num_shards_, "shard out of range");
+  return groups_[shard % num_servers_];
 }
 
 std::size_t ShardMap::server_index(ProcessId server) const {
@@ -82,7 +82,6 @@ std::vector<ObjectId> ShardMap::objects_at(ProcessId server) const {
 }
 
 std::string ShardMap::str() const {
-  if (!enabled()) return "flat";
   return cat(num_shards_, "x", replicas_, "/m", num_servers_);
 }
 

@@ -1,20 +1,21 @@
-// Sharded, partially-replicated key placement (the Appendix A general model).
+// Key placement of the cluster model (Section 2, generalised in Appendix A).
 //
 // The paper's main theorem is proved for clusters of m >= 2 servers where
 // each server stores a non-empty subset of the objects and no server stores
-// all of them.  A ShardMap operationalizes exactly that configuration at
-// scale: the key space is split into N shards (key -> shard `key mod N`),
-// and shard s is stored by a *replica group* of R consecutive servers
-// starting at servers[s mod m] (the group's first server is the shard's
-// primary).  Every placement question — which servers store an object,
-// which objects a server stores, who is the routing target for a read or
-// write — is answered arithmetically in O(1) from (N, R, m), never from an
-// enumerated per-key table, so a 64-shard cluster over millions of keys
-// costs the same metadata as a 2-server cluster over two keys.
+// all of them.  A ShardMap is the one placement that realises it: the key
+// space is split into N shards (key -> shard `key mod N`), and shard s is
+// stored by a *replica group* of R consecutive servers starting at
+// servers[s mod m] (the group's first server is the shard's primary).
+// Every placement question — which servers store an object, which objects
+// a server stores, who is the routing target for a read or write — is
+// answered arithmetically in O(1) from (N, R, m), never from an enumerated
+// per-key table, so a 64-shard cluster over millions of keys costs the
+// same metadata as a 2-server cluster over two keys.
 //
-// A default-constructed ShardMap is disabled: ClusterView falls back to the
-// legacy enumerated placement (round-robin per object), which keeps every
-// pre-sharding digest, golden and trace artifact byte-identical.
+// The default cluster (ClusterConfig::num_shards == 1) is the map with one
+// shard per object, N = num_objects: object o lands on servers[(o+r) mod m]
+// for r < R, the round-robin layout every pre-sharding digest, golden and
+// trace artifact was captured under.
 //
 // Invariants established by make() (checked, Section 2 / Appendix A):
 //  * m >= 2 and N >= m          — every server stores at least one shard;
@@ -33,16 +34,13 @@ namespace discs::proto {
 
 class ShardMap {
  public:
-  /// Disabled map (legacy flat placement).
-  ShardMap() = default;
-
   /// Builds the map for `num_shards` x `replicas` over `servers` (which
   /// must have contiguous ProcessIds, as Protocol::build assigns them).
+  /// A default-constructed map is a placeholder for make()'s result.
   static ShardMap make(std::size_t num_shards, std::size_t replicas,
                        const std::vector<ProcessId>& servers,
                        std::size_t num_objects);
 
-  bool enabled() const { return num_shards_ > 0; }
   std::size_t num_shards() const { return num_shards_; }
   std::size_t replicas() const { return replicas_; }
   std::size_t num_servers() const { return num_servers_; }
@@ -72,19 +70,22 @@ class ShardMap {
   /// shard — O(stored objects), never O(total objects x servers).
   std::vector<ObjectId> objects_at(ProcessId server) const;
 
+  /// Position of `server` in the server list (O(1): ids are contiguous).
+  std::size_t server_index(ProcessId server) const;
+
   /// e.g. "64x2/m8" — shards x replicas over m servers (logs, docs).
   std::string str() const;
 
  private:
-  std::size_t server_index(ProcessId server) const;
 
-  std::size_t num_shards_ = 0;  ///< 0 = disabled
+  std::size_t num_shards_ = 0;
   std::size_t replicas_ = 1;
   std::size_t num_servers_ = 0;
   std::size_t num_objects_ = 0;
   std::uint64_t first_server_ = 0;
-  /// shard -> replica group, precomputed (N x R ProcessIds, independent of
-  /// key count) so replicas_of can hand out references.
+  /// Replica group per `shard mod m` (shards s and s+m share one): m x R
+  /// ProcessIds, independent of shard and key count, so replicas_of can
+  /// hand out references.
   std::vector<std::vector<ProcessId>> groups_;
 };
 

@@ -76,8 +76,7 @@ class Cops : public Protocol {
 
  protected:
   std::unique_ptr<ServerBase> make_server(
-      ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-      const ClusterConfig& cfg) const override;
+      ProcessId id, const ClusterView& view) const override;
 };
 
 }  // namespace discs::proto::cops

@@ -88,8 +88,7 @@ class CopsSnow : public Protocol {
 
  protected:
   std::unique_ptr<ServerBase> make_server(
-      ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-      const ClusterConfig& cfg) const override;
+      ProcessId id, const ClusterView& view) const override;
 };
 
 }  // namespace discs::proto::copssnow

@@ -383,9 +383,8 @@ ProcessId Eiger::add_client(sim::Simulation& sim,
 }
 
 std::unique_ptr<ServerBase> Eiger::make_server(
-    ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-    const ClusterConfig&) const {
-  return std::make_unique<Server>(id, view, std::move(stored));
+    ProcessId id, const ClusterView& view) const {
+  return std::make_unique<Server>(id, view);
 }
 
 }  // namespace discs::proto::eiger

@@ -104,8 +104,7 @@ class Eiger : public Protocol {
 
  protected:
   std::unique_ptr<ServerBase> make_server(
-      ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-      const ClusterConfig& cfg) const override;
+      ProcessId id, const ClusterView& view) const override;
 };
 
 }  // namespace discs::proto::eiger

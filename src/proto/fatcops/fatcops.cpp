@@ -159,9 +159,8 @@ ProcessId FatCops::add_client(sim::Simulation& sim,
 }
 
 std::unique_ptr<ServerBase> FatCops::make_server(
-    ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-    const ClusterConfig&) const {
-  return std::make_unique<Server>(id, view, std::move(stored));
+    ProcessId id, const ClusterView& view) const {
+  return std::make_unique<Server>(id, view);
 }
 
 }  // namespace discs::proto::fatcops

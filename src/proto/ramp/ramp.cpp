@@ -225,11 +225,9 @@ ProcessId Ramp::add_client(sim::Simulation& sim,
   return id;
 }
 
-std::unique_ptr<ServerBase> Ramp::make_server(ProcessId id,
-                                              const ClusterView& view,
-                                              std::vector<ObjectId> stored,
-                                              const ClusterConfig&) const {
-  return std::make_unique<Server>(id, view, std::move(stored));
+std::unique_ptr<ServerBase> Ramp::make_server(
+    ProcessId id, const ClusterView& view) const {
+  return std::make_unique<Server>(id, view);
 }
 
 }  // namespace discs::proto::ramp

@@ -232,18 +232,13 @@ std::string Server::proto_digest() const {
 ProcessId Spanner::add_client(sim::Simulation& sim,
                               const ClusterView& view) const {
   ProcessId id = sim.next_process_id();
-  sim.add_process(std::make_unique<Client>(id, view, epsilon_));
+  sim.add_process(std::make_unique<Client>(id, view));
   return id;
 }
 
 std::unique_ptr<ServerBase> Spanner::make_server(
-    ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-    const ClusterConfig& cfg) const {
-  // Remember the configured uncertainty so clients added later (including
-  // the fresh readers the impossibility constructions mint) match.
-  epsilon_ = cfg.tt_epsilon;
-  return std::make_unique<Server>(id, view, std::move(stored),
-                                  cfg.tt_epsilon);
+    ProcessId id, const ClusterView& view) const {
+  return std::make_unique<Server>(id, view);
 }
 
 }  // namespace discs::proto::spanner

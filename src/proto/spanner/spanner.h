@@ -32,8 +32,9 @@ clk::TrueTimeSim make_truetime(ProcessId id, std::uint64_t epsilon);
 
 class Client : public ClientBase {
  public:
-  Client(ProcessId id, ClusterView view, std::uint64_t epsilon)
-      : ClientBase(id, std::move(view)), tt_(make_truetime(id, epsilon)) {}
+  Client(ProcessId id, ClusterView view)
+      : ClientBase(id, std::move(view)),
+        tt_(make_truetime(id, this->view().config.tt_epsilon)) {}
 
   std::unique_ptr<sim::Process> clone() const override {
     return std::make_unique<Client>(*this);
@@ -51,10 +52,9 @@ class Client : public ClientBase {
 
 class Server : public ServerBase {
  public:
-  Server(ProcessId id, ClusterView view, std::vector<ObjectId> stored,
-         std::uint64_t epsilon)
-      : ServerBase(id, view, std::move(stored)),
-        tt_(make_truetime(id, epsilon)) {}
+  Server(ProcessId id, ClusterView view)
+      : ServerBase(id, std::move(view)),
+        tt_(make_truetime(id, this->view().config.tt_epsilon)) {}
 
   std::unique_ptr<sim::Process> clone() const override {
     return std::make_unique<Server>(*this);
@@ -113,11 +113,7 @@ class Spanner : public Protocol {
 
  protected:
   std::unique_ptr<ServerBase> make_server(
-      ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-      const ClusterConfig& cfg) const override;
-
- private:
-  mutable std::uint64_t epsilon_ = 5;
+      ProcessId id, const ClusterView& view) const override;
 };
 
 }  // namespace discs::proto::spanner

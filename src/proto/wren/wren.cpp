@@ -136,11 +136,11 @@ std::string Client::proto_digest() const {
   return b.str();
 }
 
-Server::Server(ProcessId id, ClusterView view, std::vector<ObjectId> stored,
-               std::size_t gossip_interval)
-    : ServerBase(id, view, std::move(stored)),
+Server::Server(ProcessId id, ClusterView view)
+    : ServerBase(id, std::move(view)),
       stables_(this->view().servers.size()),
-      gossip_interval_(gossip_interval == 0 ? 1 : gossip_interval) {}
+      gossip_interval_(std::max<std::size_t>(
+          this->view().config.gossip_interval, 1)) {}
 
 HlcTimestamp Server::local_stable() const {
   if (pending_.empty()) return hlc_.peek();
@@ -261,12 +261,9 @@ ProcessId Wren::add_client(sim::Simulation& sim,
   return id;
 }
 
-std::unique_ptr<ServerBase> Wren::make_server(ProcessId id,
-                                              const ClusterView& view,
-                                              std::vector<ObjectId> stored,
-                                              const ClusterConfig& cfg) const {
-  return std::make_unique<Server>(id, view, std::move(stored),
-                                  cfg.gossip_interval);
+std::unique_ptr<ServerBase> Wren::make_server(
+    ProcessId id, const ClusterView& view) const {
+  return std::make_unique<Server>(id, view);
 }
 
 }  // namespace discs::proto::wren

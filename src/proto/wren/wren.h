@@ -53,8 +53,7 @@ class Client : public ClientBase {
 
 class Server : public ServerBase {
  public:
-  Server(ProcessId id, ClusterView view, std::vector<ObjectId> stored,
-         std::size_t gossip_interval);
+  Server(ProcessId id, ClusterView view);
 
   std::unique_ptr<sim::Process> clone() const override {
     return std::make_unique<Server>(*this);
@@ -99,8 +98,7 @@ class Wren : public Protocol {
 
  protected:
   std::unique_ptr<ServerBase> make_server(
-      ProcessId id, const ClusterView& view, std::vector<ObjectId> stored,
-      const ClusterConfig& cfg) const override;
+      ProcessId id, const ClusterView& view) const override;
 };
 
 }  // namespace discs::proto::wren

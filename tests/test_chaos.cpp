@@ -25,10 +25,12 @@ using fault::FaultRule;
 
 proto::ClusterConfig wipe_prone_cluster() {
   // The committed fixture's configuration: session layer on, journal OFF —
-  // a lossy server crash wipes committed writes back to the baseline.
+  // a lossy server crash wipes committed writes back to the baseline — and
+  // the campaign's default client retransmit base.
   proto::ClusterConfig cfg;
   cfg.exactly_once = true;
   cfg.durable_journal = false;
+  cfg.client_retransmit_after = 8;
   return cfg;
 }
 
@@ -79,7 +81,7 @@ TEST(ReproSpecTest, JsonRoundTripPreservesEveryField) {
   spec.cluster.journal_compact_threshold = 64;
   spec.workload.num_txs = 7;
   spec.workload.seed = 3;
-  spec.client_retransmit_after = 5;
+  spec.cluster.client_retransmit_after = 5;
   spec.plan.name = "pinned";
   spec.plan.seed = 17;
   spec.plan.rules.push_back(fault::crash_rule(ProcessId(1), 10, 20, true));
@@ -92,7 +94,30 @@ TEST(ReproSpecTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.cluster.journal_compact_threshold, 64u);
   EXPECT_TRUE(back.cluster.exactly_once);
   EXPECT_FALSE(back.cluster.durable_journal);
+  EXPECT_EQ(back.cluster.client_retransmit_after, 5u);
   EXPECT_EQ(back.plan, spec.plan);
+}
+
+TEST(ReproSpecTest, JsonRoundTripKeepsTheClusterShape) {
+  // A counterexample found on a sharded cluster must replay on that
+  // cluster: the spec writes the trace header's cluster codec, so the
+  // shard count and the span switch survive dump() -> parse().
+  ReproSpec spec;
+  spec.protocol = "cops-snow";
+  spec.cluster.num_servers = 4;
+  spec.cluster.num_objects = 16;
+  spec.cluster.num_shards = 8;
+  spec.cluster.replication = 2;
+  spec.cluster.record_spans = true;
+
+  ReproSpec back = ReproSpec::parse(spec.dump());
+  EXPECT_EQ(back.dump(), spec.dump());
+  EXPECT_EQ(back.cluster.num_shards, 8u);
+  EXPECT_TRUE(back.cluster.record_spans);
+  EXPECT_EQ(back.cluster.num_servers, 4u);
+  EXPECT_EQ(back.cluster.num_objects, 16u);
+  EXPECT_EQ(back.cluster.replication, 2u);
+  EXPECT_EQ(back.cluster.client_retransmit_after, 0u);
 }
 
 TEST(ReproSpecTest, FlightFieldRoundTripsAndStaysOptional) {

@@ -246,10 +246,8 @@ class BlackHole : public proto::Protocol {
 
  protected:
   std::unique_ptr<proto::ServerBase> make_server(
-      ProcessId id, const proto::ClusterView& view,
-      std::vector<ObjectId> stored,
-      const proto::ClusterConfig&) const override {
-    return std::make_unique<Server>(id, view, std::move(stored));
+      ProcessId id, const proto::ClusterView& view) const override {
+    return std::make_unique<Server>(id, view);
   }
 };
 

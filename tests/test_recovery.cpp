@@ -245,13 +245,14 @@ TEST(JournaledRecovery, WithoutJournalLossyCrashStillWipesToBaseline) {
 chaos::CampaignConfig hardened_campaign() {
   chaos::CampaignConfig cfg;
   cfg.cluster = hardened_cluster();
+  cfg.cluster.client_retransmit_after = 8;  // the campaign default
   cfg.workload.num_txs = 12;
   cfg.workload.seed = 4;
   return cfg;
 }
 
 TEST(HardenedStack, ConsistencyAndProgressHoldUnderDropRetransmit) {
-  // With the session layer on, set_retransmit_after is unconditionally
+  // With the session layer on, client retransmits are unconditionally
   // safe: every protocol keeps its consistency claim and its progress
   // under a lossy network where both the engine and the clients resend.
   chaos::CampaignConfig cfg = hardened_campaign();
@@ -301,9 +302,9 @@ TEST(RetransmitBackoff, StallStateResetsWhenTransactionCompletes) {
   // be torn down in the completion path, so a transaction that needed
   // retransmissions cannot leak stall state into the next one.
   obs::Registry::global().reset();
-  BuiltCluster b = build("cops", hardened_cluster());
-  for (auto c : b.cluster.clients)
-    b.sim.process_as<ClientBase>(c).set_retransmit_after(4);
+  ClusterConfig cfg = hardened_cluster();
+  cfg.client_retransmit_after = 4;
+  BuiltCluster b = build("cops", cfg);
 
   // Drops with NO engine retransmission: only the client's own retransmit
   // path can recover, so the ladder is guaranteed to be exercised.

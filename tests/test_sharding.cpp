@@ -65,7 +65,6 @@ TEST(ShardMap, PlacementHonorsAppendixAInvariants) {
   const auto srv = servers(4);
   ShardMap map = ShardMap::make(/*num_shards=*/8, /*replicas=*/2, srv,
                                 /*num_objects=*/32);
-  ASSERT_TRUE(map.enabled());
   EXPECT_EQ(map.str(), "8x2/m4");
 
   // Key routing is residue arithmetic; the replica group is R consecutive
@@ -110,6 +109,53 @@ TEST(ShardMap, RejectsDegenerateConfigurations) {
   EXPECT_THROW(ShardMap::make(8, 1, srv, 7), CheckFailure);
   // One server is below the model's m >= 2.
   EXPECT_THROW(ShardMap::make(2, 1, servers(1), 4), CheckFailure);
+}
+
+TEST(ShardMap, DefaultClusterIsRoundRobinPlacement) {
+  // num_shards == 1 is the map with one shard per object, which must be
+  // exactly the round-robin layout every pre-sharding artifact pins:
+  // object o on servers[(o + r) mod m] for r < R, primary first, and each
+  // server's objects in ascending order.
+  for (std::size_t m : {2, 3, 4, 8}) {
+    for (std::size_t objects : {m, std::size_t{256}}) {
+      for (std::size_t r = 1; r < m; ++r) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " objects=" << objects << " R=" << r);
+        ClusterConfig cfg;
+        cfg.num_servers = m;
+        cfg.num_objects = objects;
+        cfg.replication = r;
+        const auto view = proto::make_view(cfg, ProcessId(0));
+        const auto srv = servers(m);
+        std::vector<std::vector<ObjectId>> at(m);
+        for (std::size_t o = 0; o < objects; ++o) {
+          const ObjectId obj(o);
+          std::vector<ProcessId> reps;
+          for (std::size_t k = 0; k < r; ++k) {
+            reps.push_back(srv[(o + k) % m]);
+            at[(o + k) % m].push_back(obj);
+          }
+          ASSERT_EQ(view.replicas(obj), reps);
+          ASSERT_EQ(view.primary(obj), reps.front());
+          for (auto s : srv)
+            ASSERT_EQ(view.server_stores(s, obj),
+                      std::find(reps.begin(), reps.end(), s) != reps.end());
+        }
+        for (std::size_t k = 0; k < m; ++k)
+          ASSERT_EQ(view.objects_at(srv[k]), at[k]);
+      }
+    }
+  }
+}
+
+TEST(ShardMap, DefaultClusterRejectsFullReplication) {
+  // R == m stores every object everywhere — outside the model.  The old
+  // enumerated placement let it through when objects == servers.
+  ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.num_objects = 3;
+  cfg.replication = 3;
+  EXPECT_THROW(proto::make_view(cfg, ProcessId(0)), CheckFailure);
 }
 
 TEST(ShardMap, MillionKeyPlacementStaysCheap) {
@@ -279,6 +325,7 @@ TEST(ShardedFaults, ProgressAuditAndChaosSmoke) {
   // sharded cluster must not produce safety or liveness counterexamples.
   chaos::CampaignConfig ccfg;
   ccfg.cluster = cluster;
+  ccfg.cluster.client_retransmit_after = 8;  // the campaign default
   ccfg.workload.num_txs = 16;
   ccfg.workload.seed = 3;
   ccfg.runs = 2;
