@@ -7,7 +7,8 @@
 // of history length; BM_SnapshotDeepDiverge forces full divergence (every
 // process cloned, trace forked) to expose the old deep-copy cost for
 // comparison — the Snapshot/SnapshotDeepDiverge ratio at large histories
-// is the COW win.
+// is the COW win.  BM_TraceExport/BM_TraceImport time the trace codec
+// (export_jsonl / import_jsonl, bytes/s) on one audit-shaped wren history.
 //
 // Flags: the shared bench main (harness.h: --smoke, --out=PATH, the
 // --benchmark_* flags), plus --phases (below) instead of benchmarking.
@@ -29,6 +30,7 @@
 #include "kv/store.h"
 #include "obs/phase.h"
 #include "obs/registry.h"
+#include "obs/trace_io.h"
 #include "par/parallel.h"
 #include "proto/common/client.h"
 #include "proto/registry.h"
@@ -405,6 +407,61 @@ void BM_ParallelForPooled(benchmark::State& state) {
   for (auto _ : state) par::parallel_for(kParItems, par_job, kParThreads);
 }
 
+/// One wren history shaped like the repository benchmark's audit workload
+/// (4 servers, 4 clients, 64 objects, Zipf 0.99, 50% writes, 20
+/// transactions run concurrently), captured as a trace document.
+obs::TraceDoc audit_shaped_doc() {
+  auto protocol = proto::protocol_by_name("wren");
+  proto::ClusterConfig ccfg;
+  ccfg.num_servers = 4;
+  ccfg.num_clients = 4;
+  ccfg.num_objects = 64;
+  wl::WorkloadConfig wcfg;
+  wcfg.num_txs = 20;
+  wcfg.write_fraction = 0.5;
+  wcfg.multi_write_fraction = 0.5;
+  wcfg.read_objects = 2;
+  wcfg.write_objects = 2;
+  wcfg.zipf_theta = 0.99;
+  wcfg.seed = 1;
+  wcfg.collect_history = true;
+  sim::Simulation sim;
+  proto::IdSource ids;
+  proto::Cluster cluster = protocol->build(sim, ccfg, ids);
+  wl::WorkloadResult res =
+      wl::run_workload_concurrent(sim, *protocol, cluster, ids, wcfg);
+  std::vector<obs::InvokeRecord> invokes;
+  for (const auto& w : res.windows)
+    invokes.push_back({w.invoked_at, w.client, w.spec});
+  return obs::make_doc(*protocol, "bench.audit", ccfg, sim, cluster,
+                       std::move(invokes));
+}
+
+void BM_TraceExport(benchmark::State& state) {
+  const obs::TraceDoc doc = audit_shaped_doc();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string text = obs::export_jsonl(doc);
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+    bytes += text.size();
+  }
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kIsRate);
+}
+
+void BM_TraceImport(benchmark::State& state) {
+  const std::string text = obs::export_jsonl(audit_shaped_doc());
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    obs::TraceDoc doc = obs::import_jsonl(text);
+    benchmark::DoNotOptimize(doc);
+    bytes += text.size();
+  }
+  state.counters["bytes/s"] = benchmark::Counter(
+      static_cast<double>(bytes), benchmark::Counter::kIsRate);
+}
+
 /// `--phases`: instead of benchmarking, run each workload once with the
 /// wall-clock phase profiler on and print where host cycles go (handler /
 /// deliver / trace_record / digest / scheduler).  This is the "after"
@@ -486,6 +543,8 @@ void register_benchmarks(bool smoke) {
         ->Arg(d);
   benchmark::RegisterBenchmark("BM_ParallelForSpawn", BM_ParallelForSpawn);
   benchmark::RegisterBenchmark("BM_ParallelForPooled", BM_ParallelForPooled);
+  benchmark::RegisterBenchmark("BM_TraceExport", BM_TraceExport);
+  benchmark::RegisterBenchmark("BM_TraceImport", BM_TraceImport);
 }
 
 }  // namespace

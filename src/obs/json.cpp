@@ -1,9 +1,7 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "util/check.h"
 #include "util/fmt.h"
@@ -53,11 +51,15 @@ const Json& Json::get(std::string_view key) const {
   return *j;
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void json_quote(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (unsigned char c : s) {
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -65,24 +67,22 @@ std::string json_quote(std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
-  return out;
 }
 
-namespace {
+void json_uint(std::string& out, std::uint64_t n) {
+  char buf[20];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, n);
+  out.append(buf, end);
+}
 
-void dump_into(const Json& j, std::string& out);
-
-void dump_double(double d, std::string& out) {
+void json_double(std::string& out, double d) {
   DISCS_CHECK_MSG(std::isfinite(d), "json: non-finite number");
   // Shortest representation that round-trips a double.
   char buf[32];
@@ -91,17 +91,19 @@ void dump_double(double d, std::string& out) {
   out.append(buf, end);
 }
 
+namespace {
+
 void dump_into(const Json& j, std::string& out) {
   if (j.is_null()) {
     out += "null";
   } else if (j.is_bool()) {
     out += j.as_bool() ? "true" : "false";
   } else if (j.is_uint()) {
-    out += std::to_string(j.as_uint());
+    json_uint(out, j.as_uint());
   } else if (j.is_double()) {
-    dump_double(j.as_double(), out);
+    json_double(out, j.as_double());
   } else if (j.is_string()) {
-    out += json_quote(j.as_string());
+    json_quote(out, j.as_string());
   } else if (j.is_array()) {
     out.push_back('[');
     bool first = true;
@@ -117,7 +119,7 @@ void dump_into(const Json& j, std::string& out) {
     for (const auto& [k, v] : j.as_object()) {
       if (!first) out.push_back(',');
       first = false;
-      out += json_quote(k);
+      json_quote(out, k);
       out.push_back(':');
       dump_into(v, out);
     }
@@ -125,175 +127,38 @@ void dump_into(const Json& j, std::string& out) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json j = parse_value();
-    skip_ws();
-    DISCS_CHECK_MSG(pos_ == text_.size(),
-                    "json: trailing characters at offset " << pos_);
-    return j;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) {
-    DISCS_CHECK_MSG(false, "json: " << what << " at offset " << pos_);
-    std::abort();  // unreachable; CHECK throws
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c) {
-    if (!consume(c)) fail(cat("expected '", c, "'"));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) == w) {
-      pos_ += w.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return Json(parse_string());
-    if (consume_word("true")) return Json(true);
-    if (consume_word("false")) return Json(false);
-    if (consume_word("null")) return Json(nullptr);
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-  }
-
-  Json parse_object() {
-    expect('{');
-    JsonObject obj;
-    skip_ws();
-    if (consume('}')) return Json(std::move(obj));
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (consume(',')) continue;
-      expect('}');
+Json build(JsonScanner& s) {
+  switch (s.peek()) {
+    case '{': {
+      JsonObject obj;
+      s.open_object();
+      std::string_view k;
+      while (s.next_key(k)) {
+        std::string key(k);
+        obj.emplace_back(std::move(key), build(s));
+      }
       return Json(std::move(obj));
     }
-  }
-
-  Json parse_array() {
-    expect('[');
-    JsonArray arr;
-    skip_ws();
-    if (consume(']')) return Json(std::move(arr));
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      if (consume(',')) continue;
-      expect(']');
+    case '[': {
+      JsonArray arr;
+      s.open_array();
+      while (s.next_element()) arr.push_back(build(s));
       return Json(std::move(arr));
     }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+    case '"':
+      return Json(std::string(s.string()));
+    default: {
+      const JsonScanner::Scalar v = s.scalar();
+      switch (v.kind) {
+        case JsonScanner::Scalar::Kind::kNull: return Json(nullptr);
+        case JsonScanner::Scalar::Kind::kBool: return Json(v.b);
+        case JsonScanner::Scalar::Kind::kUint: return Json(v.u);
+        case JsonScanner::Scalar::Kind::kDouble: return Json(v.d);
       }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // The writer only emits \u00xx for control bytes; decode the
-          // low byte and reject the surrogate/multibyte range we never emit.
-          if (code > 0xFF) fail("unsupported \\u escape > 0xFF");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default: fail("bad escape");
-      }
+      return Json();
     }
   }
-
-  Json parse_number() {
-    std::size_t start = pos_;
-    bool neg = consume('-');
-    bool fractional = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        fractional = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    std::string_view tok = text_.substr(start, pos_ - start);
-    if (!neg && !fractional) {
-      std::uint64_t u = 0;
-      auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), u);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Json(u);
-    }
-    double d = 0;
-    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), d);
-    if (ec != std::errc() || p != tok.data() + tok.size()) fail("bad number");
-    return Json(d);
-  }
-};
+}
 
 }  // namespace
 
@@ -304,7 +169,245 @@ std::string Json::dump() const {
 }
 
 Json Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  JsonScanner s(text);
+  Json j = build(s);
+  s.finish();
+  return j;
+}
+
+// --- JsonScanner -------------------------------------------------------------
+
+void JsonScanner::fail(std::string_view what) const {
+  check_failed<JsonSyntaxError>("false", __FILE__, __LINE__,
+                                cat("json: ", what, " at offset ", pos_));
+}
+
+void JsonScanner::mismatch(const char* what) {
+  skip();
+  DISCS_CHECK_MSG(false, what);
+}
+
+void JsonScanner::skip_ws() {
+  while (pos_ < text_.size() &&
+         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+          text_[pos_] == '\r'))
+    ++pos_;
+}
+
+bool JsonScanner::consume(char c) {
+  if (pos_ < text_.size() && text_[pos_] == c) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+void JsonScanner::expect(char c) {
+  if (!consume(c)) fail(cat("expected '", c, "'"));
+}
+
+bool JsonScanner::consume_word(std::string_view w) {
+  if (text_.substr(pos_, w.size()) == w) {
+    pos_ += w.size();
+    return true;
+  }
+  return false;
+}
+
+char JsonScanner::peek() {
+  skip_ws();
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+void JsonScanner::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters");
+}
+
+void JsonScanner::open_object() {
+  if (peek() != '{') mismatch("json: not an object");
+  ++pos_;
+  opened_ = true;
+}
+
+bool JsonScanner::next_key(std::string_view& key) {
+  skip_ws();
+  if (opened_) {
+    opened_ = false;
+    if (consume('}')) return false;
+  } else if (!consume(',')) {
+    expect('}');
+    return false;
+  }
+  skip_ws();
+  key = raw_string();
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+void JsonScanner::open_array() {
+  if (peek() != '[') mismatch("json: not an array");
+  ++pos_;
+  opened_ = true;
+}
+
+bool JsonScanner::next_element() {
+  skip_ws();
+  if (opened_) {
+    opened_ = false;
+    return !consume(']');
+  }
+  if (consume(',')) return true;
+  expect(']');
+  return false;
+}
+
+std::string_view JsonScanner::string() {
+  if (peek() != '"') mismatch("json: not a string");
+  return raw_string();
+}
+
+std::uint64_t JsonScanner::uint() {
+  const std::optional<std::uint64_t> u = maybe_uint();
+  DISCS_CHECK_MSG(u.has_value(), "json: not an unsigned integer");
+  return *u;
+}
+
+bool JsonScanner::boolean() {
+  const char c = peek();
+  if (c == 't' && consume_word("true")) return true;
+  if (c == 'f' && consume_word("false")) return false;
+  mismatch("json: not a bool");
+}
+
+std::optional<std::uint64_t> JsonScanner::maybe_uint() {
+  const char c = peek();
+  if (c == '-' || (c >= '0' && c <= '9')) {
+    const Scalar n = number();
+    if (n.kind == Scalar::Kind::kUint) return n.u;
+    return std::nullopt;
+  }
+  skip();
+  return std::nullopt;
+}
+
+void JsonScanner::skip() {
+  std::string_view key;
+  switch (peek()) {
+    case '{':
+      open_object();
+      while (next_key(key)) skip();
+      return;
+    case '[':
+      open_array();
+      while (next_element()) skip();
+      return;
+    case '"':
+      raw_string();
+      return;
+    default:
+      scalar();
+  }
+}
+
+JsonScanner::Scalar JsonScanner::scalar() {
+  const char c = peek();
+  if (c == '-' || (c >= '0' && c <= '9')) return number();
+  Scalar v;
+  if (consume_word("true")) {
+    v.kind = Scalar::Kind::kBool;
+    v.b = true;
+  } else if (consume_word("false")) {
+    v.kind = Scalar::Kind::kBool;
+  } else if (!consume_word("null")) {
+    fail("unexpected character");
+  }
+  return v;
+}
+
+JsonScanner::Scalar JsonScanner::number() {
+  const std::size_t start = pos_;
+  const bool neg = consume('-');
+  bool fractional = false;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c >= '0' && c <= '9') {
+      ++pos_;
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      fractional = true;
+      ++pos_;
+    } else {
+      break;
+    }
+  }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  Scalar v;
+  if (!neg && !fractional) {
+    auto [p, ec] = std::from_chars(first, last, v.u);
+    if (ec == std::errc() && p == last) {
+      v.kind = Scalar::Kind::kUint;
+      return v;
+    }
+  }
+  auto [p, ec] = std::from_chars(first, last, v.d);
+  if (ec != std::errc() || p != last) fail("bad number");
+  v.kind = Scalar::Kind::kDouble;
+  return v;
+}
+
+std::string_view JsonScanner::raw_string() {
+  expect('"');
+  // Fast path: no escape before the closing quote, so the value is a view
+  // of the text itself.
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\')
+    ++pos_;
+  if (pos_ >= text_.size()) fail("unterminated string");
+  if (text_[pos_] == '"') return text_.substr(start, pos_++ - start);
+
+  scratch_.assign(text_.substr(start, pos_ - start));
+  while (true) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch_;
+    if (c != '\\') {
+      scratch_.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': scratch_.push_back('"'); break;
+      case '\\': scratch_.push_back('\\'); break;
+      case '/': scratch_.push_back('/'); break;
+      case 'b': scratch_.push_back('\b'); break;
+      case 'f': scratch_.push_back('\f'); break;
+      case 'n': scratch_.push_back('\n'); break;
+      case 'r': scratch_.push_back('\r'); break;
+      case 't': scratch_.push_back('\t'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("bad \\u escape");
+        }
+        // The writer only emits \u00xx for control bytes; decode the
+        // low byte and reject the surrogate/multibyte range we never emit.
+        if (code > 0xFF) fail("unsupported \\u escape > 0xFF");
+        scratch_.push_back(static_cast<char>(code));
+        break;
+      }
+      default: fail("bad escape");
+    }
+  }
 }
 
 }  // namespace discs::obs

@@ -8,16 +8,24 @@
 //   - objects preserve insertion order and the writer is deterministic, so
 //     export -> import -> export is byte-identical (the round-trip guarantee
 //     docs/TRACING.md promises).
+//
+// The one tokenizer is JsonScanner and the one serializer is the appending
+// writer (json_quote / json_uint / json_double): Json::parse and Json::dump
+// are built on them, and so are the trace codec's typed readers and writers
+// (obs/trace_io.cpp), which skip the Json tree on the hot artifact path.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
+
+#include "util/check.h"
 
 namespace discs::obs {
 
@@ -75,7 +83,86 @@ class Json {
       v_;
 };
 
-/// Escapes a string into a JSON string literal (with quotes).
-std::string json_quote(std::string_view s);
+/// Appends `s` as a JSON string literal (with quotes).
+void json_quote(std::string& out, std::string_view s);
+/// Appends an unsigned integer (exact, all 64 bits).
+void json_uint(std::string& out, std::uint64_t n);
+/// Appends the shortest representation that round-trips `d`; throws
+/// CheckFailure for a non-finite value.
+void json_double(std::string& out, double d);
+
+/// Thrown by JsonScanner when the text is not JSON, as opposed to JSON of
+/// the wrong shape (a missing field, a string where a number belongs),
+/// which throws a plain CheckFailure.  The message ends in
+/// "json: <what> at offset <byte>".
+class JsonSyntaxError : public CheckFailure {
+ public:
+  using CheckFailure::CheckFailure;
+};
+
+/// A pull scanner over one JSON text that builds nothing: callers read the
+/// values they expect where they expect them.  Strings come back as views
+/// into the text (or into one reused buffer when they hold escapes), so a
+/// document of known shape is read without allocating.
+///
+/// Typed reads (uint, boolean, string, open_object, open_array) reject a
+/// value of another kind with the same message as the matching Json
+/// accessor, after skipping it, so malformed text inside it still reports
+/// as a syntax error.
+class JsonScanner {
+ public:
+  explicit JsonScanner(std::string_view text) : text_(text) {}
+
+  /// Skips whitespace and returns the first character of the next value.
+  char peek();
+
+  /// Enters an object; then `while (next_key(key))` visits its members in
+  /// text order.  The caller reads or skip()s each member's value before
+  /// asking for the next key; `key` is valid until the next string read.
+  void open_object();
+  bool next_key(std::string_view& key);
+
+  /// Enters an array; then `while (next_element())` visits its elements,
+  /// each read or skip()ped by the caller.
+  void open_array();
+  bool next_element();
+
+  /// A string value; the view is valid until the next string read.
+  std::string_view string();
+  std::uint64_t uint();
+  bool boolean();
+  /// Reads any value; returns it when it is an unsigned integer.
+  std::optional<std::uint64_t> maybe_uint();
+  /// Reads any value without building it.
+  void skip();
+  /// Fails unless only whitespace remains.
+  void finish();
+
+  /// A non-string scalar: null, true/false or a number.
+  struct Scalar {
+    enum class Kind { kNull, kBool, kUint, kDouble } kind = Kind::kNull;
+    bool b = false;
+    std::uint64_t u = 0;
+    double d = 0;
+  };
+  /// Reads null, true, false or a number.
+  Scalar scalar();
+
+ private:
+  [[noreturn]] void fail(std::string_view what) const;
+  [[noreturn]] void mismatch(const char* what);
+  void skip_ws();
+  bool consume(char c);
+  void expect(char c);
+  bool consume_word(std::string_view w);
+  std::string_view raw_string();
+  Scalar number();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  /// Set by open_object/open_array until the first next_key/next_element.
+  bool opened_ = false;
+  std::string scratch_;  ///< decoded form of the last escaped string
+};
 
 }  // namespace discs::obs

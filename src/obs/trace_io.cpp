@@ -1,7 +1,11 @@
 #include "obs/trace_io.h"
 
 #include <algorithm>
-#include <sstream>
+#include <array>
+#include <iterator>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "fault/session.h"
 #include "obs/json.h"
@@ -128,189 +132,508 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
 }
 
 // --- serialization ---------------------------------------------------------
+//
+// Header, span and footer records go through the Json tree: there is one
+// header per artifact, and its "cluster" object is the codec chaos repros
+// share.  Invoke, event and tx records — one per transaction or event — are
+// written with the appending writer and read with JsonScanner straight
+// into the TraceDoc: the same bytes and the same acceptance, without a tree
+// per line.
 
 namespace {
 
-Json msg_json(const ExportedMessage& m) {
-  JsonArray values;
-  for (auto v : m.values) values.push_back(Json(v.value()));
-  JsonObject obj{{"id", Json(m.id.value())},
-                 {"src", Json(m.src.value())},
-                 {"dst", Json(m.dst.value())},
-                 {"kind", Json(m.kind)},
-                 {"desc", Json(m.desc)},
-                 {"values", Json(std::move(values))},
-                 {"bytes", Json(m.bytes)}};
+/// Wire names of the event kinds, for the writer and the reader.
+constexpr std::pair<sim::Event::Kind, std::string_view> kEventKinds[] = {
+    {sim::Event::Kind::kStep, "step"},
+    {sim::Event::Kind::kDeliver, "deliver"},
+    {sim::Event::Kind::kDrop, "drop"},
+    {sim::Event::Kind::kDuplicate, "dup"},
+    {sim::Event::Kind::kRetransmit, "retransmit"},
+    {sim::Event::Kind::kCrash, "crash"},
+    {sim::Event::Kind::kRestart, "restart"}};
+
+std::string_view event_kind_name(sim::Event::Kind kind) {
+  for (const auto& [k, name] : kEventKinds)
+    if (k == kind) return name;
+  return "?";
+}
+
+/// Appends `[put(x0),put(x1),...]`.
+template <class Range, class Put>
+void put_array(std::string& out, const Range& items, Put put) {
+  out += '[';
+  bool first = true;
+  for (const auto& x : items) {
+    if (!first) out += ',';
+    first = false;
+    put(x);
+  }
+  out += ']';
+}
+
+/// Appends `key` (the literal text before a value) and the value.
+void put_uint(std::string& out, std::string_view key, std::uint64_t v) {
+  out += key;
+  json_uint(out, v);
+}
+void put_bool(std::string& out, std::string_view key, bool b) {
+  out += key;
+  out += b ? "true" : "false";
+}
+
+void put_msg(std::string& out, const ExportedMessage& m) {
+  auto put_u = [&](std::uint64_t x) { json_uint(out, x); };
+  put_uint(out, "{\"id\":", m.id.value());
+  put_uint(out, ",\"src\":", m.src.value());
+  put_uint(out, ",\"dst\":", m.dst.value());
+  out += ",\"kind\":";
+  json_quote(out, m.kind);
+  out += ",\"desc\":";
+  json_quote(out, m.desc);
+  out += ",\"values\":";
+  put_array(out, m.values, [&](ValueId v) { put_u(v.value()); });
+  put_uint(out, ",\"bytes\":", m.bytes);
   // Cause annotations are optional fields: emitted only when non-empty
   // (i.e. only in record_spans captures), so span-free artifacts keep
   // their exact bytes.
   if (!m.req_txs.empty()) {
-    JsonArray a;
-    for (auto tx : m.req_txs) a.push_back(Json(tx));
-    obj.emplace_back("rotreq", Json(std::move(a)));
+    out += ",\"rotreq\":";
+    put_array(out, m.req_txs, put_u);
   }
   if (!m.rep_txs.empty()) {
-    JsonArray a;
-    for (auto tx : m.rep_txs) a.push_back(Json(tx));
-    obj.emplace_back("rotrep", Json(std::move(a)));
+    out += ",\"rotrep\":";
+    put_array(out, m.rep_txs, put_u);
   }
   if (!m.req_objs.empty()) {
-    JsonArray a;
-    for (const auto& [tx, o] : m.req_objs)
-      a.push_back(Json(JsonArray{Json(tx), Json(o)}));
-    obj.emplace_back("rotobjs", Json(std::move(a)));
+    out += ",\"rotobjs\":";
+    put_array(out, m.req_objs, [&](const auto& p) {
+      put_array(out, std::array{p.first, p.second}, put_u);
+    });
   }
   if (!m.reads.empty()) {
-    JsonArray a;
-    for (const auto& r : m.reads)
-      a.push_back(Json(JsonArray{Json(r[0]), Json(r[1]), Json(r[2])}));
-    obj.emplace_back("rotvals", Json(std::move(a)));
+    out += ",\"rotvals\":";
+    put_array(out, m.reads, [&](const auto& r) { put_array(out, r, put_u); });
   }
-  return Json(std::move(obj));
+  out += '}';
 }
 
-ExportedMessage msg_from_json(const Json& j) {
-  ExportedMessage m;
-  m.id = MsgId(j.get("id").as_uint());
-  m.src = ProcessId(j.get("src").as_uint());
-  m.dst = ProcessId(j.get("dst").as_uint());
-  m.kind = j.get("kind").as_string();
-  m.desc = j.get("desc").as_string();
-  for (const auto& v : j.get("values").as_array())
-    m.values.push_back(ValueId(v.as_uint()));
-  m.bytes = j.get("bytes").as_uint();
-  if (const Json* a = j.find("rotreq"))
-    for (const auto& tx : a->as_array()) m.req_txs.push_back(tx.as_uint());
-  if (const Json* a = j.find("rotrep"))
-    for (const auto& tx : a->as_array()) m.rep_txs.push_back(tx.as_uint());
-  if (const Json* a = j.find("rotobjs"))
-    for (const auto& pair : a->as_array()) {
-      const auto& kv = pair.as_array();
-      DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed rotobjs pair");
-      m.req_objs.emplace_back(kv[0].as_uint(), kv[1].as_uint());
-    }
-  if (const Json* a = j.find("rotvals"))
-    for (const auto& triple : a->as_array()) {
-      const auto& kv = triple.as_array();
-      DISCS_CHECK_MSG(kv.size() == 3, "trace: malformed rotvals triple");
-      m.reads.push_back({kv[0].as_uint(), kv[1].as_uint(), kv[2].as_uint()});
-    }
-  return m;
-}
-
-Json tx_spec_json(const TxSpec& spec) {
-  JsonArray reads, writes;
-  for (auto obj : spec.read_set) reads.push_back(Json(obj.value()));
-  for (const auto& [obj, v] : spec.write_set)
-    writes.push_back(Json(JsonArray{Json(obj.value()), Json(v.value())}));
-  return Json(JsonObject{{"id", Json(spec.id.value())},
-                         {"reads", Json(std::move(reads))},
-                         {"writes", Json(std::move(writes))}});
-}
-
-TxSpec tx_spec_from_json(const Json& j) {
-  TxSpec spec;
-  spec.id = TxId(j.get("id").as_uint());
-  for (const auto& o : j.get("reads").as_array())
-    spec.read_set.push_back(ObjectId(o.as_uint()));
-  for (const auto& w : j.get("writes").as_array()) {
-    const auto& pair = w.as_array();
-    DISCS_CHECK_MSG(pair.size() == 2, "trace: malformed write pair");
-    spec.write_set.emplace_back(ObjectId(pair[0].as_uint()),
-                                ValueId(pair[1].as_uint()));
+void put_event(std::string& out, const ExportedEvent& e) {
+  auto put_msgs = [&](const std::vector<ExportedMessage>& msgs) {
+    put_array(out, msgs, [&](const ExportedMessage& m) { put_msg(out, m); });
+  };
+  const std::string_view kind = event_kind_name(e.event.kind);
+  put_uint(out, "{\"record\":\"event\",\"seq\":", e.seq);
+  out += ",\"kind\":\"";
+  out += kind;
+  out += '"';
+  switch (e.event.kind) {
+    case sim::Event::Kind::kStep:
+      put_uint(out, ",\"process\":", e.event.process.value());
+      out += ",\"consumed\":";
+      put_msgs(e.consumed);
+      out += ",\"sent\":";
+      put_msgs(e.sent);
+      break;
+    case sim::Event::Kind::kCrash:
+      put_uint(out, ",\"process\":", e.event.process.value());
+      put_bool(out, ",\"lossy\":", e.event.lossy);
+      break;
+    case sim::Event::Kind::kRestart:
+      put_uint(out, ",\"process\":", e.event.process.value());
+      break;
+    default:
+      // deliver / drop / dup / retransmit: one affected message each.
+      DISCS_CHECK_MSG(e.delivered.has_value(),
+                      "trace: " << kind << " event without message");
+      out += ",\"msg\":";
+      put_msg(out, *e.delivered);
   }
-  return spec;
+  out += '}';
 }
 
-Json header_json(const TraceDoc& doc) {
+void put_invoke(std::string& out, const InvokeRecord& inv) {
+  auto put_u = [&](std::uint64_t x) { json_uint(out, x); };
+  put_uint(out, "{\"record\":\"invoke\",\"at\":", inv.at);
+  put_uint(out, ",\"client\":", inv.client.value());
+  put_uint(out, ",\"tx\":{\"id\":", inv.spec.id.value());
+  out += ",\"reads\":";
+  put_array(out, inv.spec.read_set, [&](ObjectId o) { put_u(o.value()); });
+  out += ",\"writes\":";
+  put_array(out, inv.spec.write_set, [&](const auto& w) {
+    put_array(out, std::array{w.first.value(), w.second.value()}, put_u);
+  });
+  out += "}}";
+}
+
+void put_tx(std::string& out, const hist::TxRecord& t) {
+  put_uint(out, "{\"record\":\"tx\",\"id\":", t.id.value());
+  put_uint(out, ",\"client\":", t.client.value());
+  put_bool(out, ",\"invoked\":", t.invoked);
+  put_bool(out, ",\"completed\":", t.completed);
+  put_uint(out, ",\"invoke_seq\":", t.invoke_seq);
+  put_uint(out, ",\"complete_seq\":", t.complete_seq);
+  out += ",\"reads\":";
+  put_array(out, t.reads, [&](const hist::ReadOp& r) {
+    put_uint(out, "{\"object\":", r.object.value());
+    if (r.responded)
+      put_uint(out, ",\"value\":", r.value.value());
+    else
+      out += ",\"value\":null";
+    put_bool(out, ",\"responded\":", r.responded);
+    out += '}';
+  });
+  out += ",\"writes\":";
+  put_array(out, t.writes, [&](const hist::WriteOp& w) {
+    put_uint(out, "{\"object\":", w.object.value());
+    put_uint(out, ",\"value\":", w.value.value());
+    put_bool(out, ",\"acked\":", w.acked);
+    out += '}';
+  });
+  out += '}';
+}
+
+void put_prefix(std::string& out, const TraceDoc& doc) {
   JsonArray initial;
   for (const auto& [obj, v] : doc.initial)
     initial.push_back(Json(JsonArray{Json(obj.value()), Json(v.value())}));
-  return Json(JsonObject{
-      {"record", Json("header")},
-      {"schema", Json(doc.schema)},
-      {"protocol", Json(doc.protocol)},
-      {"scenario", Json(doc.scenario)},
-      {"cluster", cluster_config_json(doc.cluster)},
-      {"initial", Json(std::move(initial))}});
+  out += Json(JsonObject{{"record", Json("header")},
+                         {"schema", Json(doc.schema)},
+                         {"protocol", Json(doc.protocol)},
+                         {"scenario", Json(doc.scenario)},
+                         {"cluster", cluster_config_json(doc.cluster)},
+                         {"initial", Json(std::move(initial))}})
+             .dump();
+  out += '\n';
+  for (const auto& inv : doc.invokes) {
+    put_invoke(out, inv);
+    out += '\n';
+  }
 }
 
-Json event_json(const ExportedEvent& e) {
-  JsonObject obj{{"record", Json("event")}, {"seq", Json(e.seq)}};
-  if (e.event.kind == sim::Event::Kind::kStep) {
-    obj.emplace_back("kind", Json("step"));
-    obj.emplace_back("process", Json(e.event.process.value()));
-    JsonArray consumed, sent;
-    for (const auto& m : e.consumed) consumed.push_back(msg_json(m));
-    for (const auto& m : e.sent) sent.push_back(msg_json(m));
-    obj.emplace_back("consumed", Json(std::move(consumed)));
-    obj.emplace_back("sent", Json(std::move(sent)));
-  } else if (e.event.kind == sim::Event::Kind::kCrash) {
-    obj.emplace_back("kind", Json("crash"));
-    obj.emplace_back("process", Json(e.event.process.value()));
-    obj.emplace_back("lossy", Json(e.event.lossy));
-  } else if (e.event.kind == sim::Event::Kind::kRestart) {
-    obj.emplace_back("kind", Json("restart"));
-    obj.emplace_back("process", Json(e.event.process.value()));
-  } else {
-    // deliver / drop / dup / retransmit: one affected message each.
-    std::string_view kind;
-    switch (e.event.kind) {
-      case sim::Event::Kind::kDeliver: kind = "deliver"; break;
-      case sim::Event::Kind::kDrop: kind = "drop"; break;
-      case sim::Event::Kind::kDuplicate: kind = "dup"; break;
-      default: kind = "retransmit"; break;
+void put_suffix(std::string& out, const TraceDoc& doc, std::uint64_t events) {
+  for (const auto& s : doc.spans) {
+    out += Json(JsonObject{{"record", Json("span")},
+                           {"kind", Json(std::string(span_kind_str(s.kind)))},
+                           {"tx", Json(s.tx)},
+                           {"proc", Json(s.proc)},
+                           {"at", Json(s.at)},
+                           {"round", Json(s.round)}})
+               .dump();
+    out += '\n';
+  }
+  for (const auto& t : doc.history.txs()) {
+    put_tx(out, t);
+    out += '\n';
+  }
+  out += Json(JsonObject{{"record", Json("footer")},
+                         {"events", Json(events)},
+                         {"final_digest", Json(doc.final_digest)}})
+             .dump();
+  out += '\n';
+}
+
+// Readers.  Each reads one object with JsonScanner and keeps the Json
+// tree's acceptance: members in any order, the first of duplicate keys
+// wins (Json::find), unknown members are skipped, and a missing or
+// mistyped field is rejected with the Json accessor's message.
+
+/// Reads the object at `s`, calling read(i) for the first member named
+/// keys[i] and skipping every other member.  Each key whose bit is set in
+/// `required` must be present; they are checked in key order.
+template <class Read>
+void read_fields(JsonScanner& s, std::span<const std::string_view> keys,
+                 std::uint32_t required, Read read) {
+  std::uint32_t seen = 0;
+  s.open_object();
+  std::string_view key;
+  while (s.next_key(key)) {
+    std::size_t i = 0;
+    while (i < keys.size() && keys[i] != key) ++i;
+    if (i == keys.size() || (seen >> i & 1)) {
+      s.skip();
+      continue;
     }
-    obj.emplace_back("kind", Json(std::string(kind)));
-    DISCS_CHECK_MSG(e.delivered.has_value(),
-                    "trace: " << kind << " event without message");
-    obj.emplace_back("msg", msg_json(*e.delivered));
+    seen |= 1u << i;
+    read(i);
   }
-  return Json(std::move(obj));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    DISCS_CHECK_MSG(!(required >> i & 1) || (seen >> i & 1),
+                    "json: missing field '" << keys[i] << "'");
 }
 
-Json tx_json(const hist::TxRecord& t) {
-  JsonArray reads, writes;
-  for (const auto& r : t.reads)
-    reads.push_back(Json(JsonObject{
-        {"object", Json(r.object.value())},
-        {"value", r.responded ? Json(r.value.value()) : Json(nullptr)},
-        {"responded", Json(r.responded)}}));
-  for (const auto& w : t.writes)
-    writes.push_back(Json(JsonObject{{"object", Json(w.object.value())},
-                                     {"value", Json(w.value.value())},
-                                     {"acked", Json(w.acked)}}));
-  return Json(JsonObject{{"record", Json("tx")},
-                         {"id", Json(t.id.value())},
-                         {"client", Json(t.client.value())},
-                         {"invoked", Json(t.invoked)},
-                         {"completed", Json(t.completed)},
-                         {"invoke_seq", Json(t.invoke_seq)},
-                         {"complete_seq", Json(t.complete_seq)},
-                         {"reads", Json(std::move(reads))},
-                         {"writes", Json(std::move(writes))}});
+template <class Read>
+void read_each(JsonScanner& s, Read read) {
+  s.open_array();
+  while (s.next_element()) read();
 }
 
-hist::TxRecord tx_from_json(const Json& j) {
+/// An array of exactly N unsigned integers; `malformed` names a wrong
+/// length, which is checked before the element types.
+template <std::size_t N>
+std::array<std::uint64_t, N> read_tuple(JsonScanner& s,
+                                        const char* malformed) {
+  std::array<std::optional<std::uint64_t>, N> v;
+  std::size_t n = 0;
+  read_each(s, [&] {
+    if (n < N)
+      v[n] = s.maybe_uint();
+    else
+      s.skip();
+    ++n;
+  });
+  DISCS_CHECK_MSG(n == N, malformed);
+  std::array<std::uint64_t, N> out{};
+  for (std::size_t i = 0; i < N; ++i) {
+    DISCS_CHECK_MSG(v[i].has_value(), "json: not an unsigned integer");
+    out[i] = *v[i];
+  }
+  return out;
+}
+
+/// The string value of the first member `key` of the object `line`,
+/// reading no further than that member.
+std::string member_string(std::string_view line, std::string_view key) {
+  JsonScanner s(line);
+  s.open_object();
+  std::string_view k;
+  while (s.next_key(k)) {
+    if (k == key) return std::string(s.string());
+    s.skip();
+  }
+  s.finish();
+  DISCS_CHECK_MSG(false, "json: missing field '" << key << "'");
+  return {};
+}
+
+ExportedMessage read_msg(JsonScanner& s) {
+  static constexpr std::string_view kKeys[] = {
+      "id",     "src",    "dst",    "kind",    "desc",   "values",
+      "bytes",  "rotreq", "rotrep", "rotobjs", "rotvals"};
+  ExportedMessage m;
+  read_fields(s, kKeys, 0x7F, [&](std::size_t i) {
+    switch (i) {
+      case 0: m.id = MsgId(s.uint()); break;
+      case 1: m.src = ProcessId(s.uint()); break;
+      case 2: m.dst = ProcessId(s.uint()); break;
+      case 3: m.kind = s.string(); break;
+      case 4: m.desc = s.string(); break;
+      case 5:
+        read_each(s, [&] { m.values.push_back(ValueId(s.uint())); });
+        break;
+      case 6: m.bytes = s.uint(); break;
+      case 7: read_each(s, [&] { m.req_txs.push_back(s.uint()); }); break;
+      case 8: read_each(s, [&] { m.rep_txs.push_back(s.uint()); }); break;
+      case 9:
+        read_each(s, [&] {
+          auto [tx, obj] = read_tuple<2>(s, "trace: malformed rotobjs pair");
+          m.req_objs.emplace_back(tx, obj);
+        });
+        break;
+      default:
+        read_each(s, [&] {
+          m.reads.push_back(
+              read_tuple<3>(s, "trace: malformed rotvals triple"));
+        });
+    }
+  });
+  return m;
+}
+
+InvokeRecord read_invoke(JsonScanner& s) {
+  static constexpr std::string_view kKeys[] = {"at", "client", "tx"};
+  static constexpr std::string_view kTxKeys[] = {"id", "reads", "writes"};
+  InvokeRecord inv;
+  read_fields(s, kKeys, 0x7, [&](std::size_t i) {
+    if (i == 0) {
+      inv.at = s.uint();
+    } else if (i == 1) {
+      inv.client = ProcessId(s.uint());
+    } else {
+      read_fields(s, kTxKeys, 0x7, [&](std::size_t j) {
+        TxSpec& spec = inv.spec;
+        if (j == 0) {
+          spec.id = TxId(s.uint());
+        } else if (j == 1) {
+          read_each(s, [&] { spec.read_set.push_back(ObjectId(s.uint())); });
+        } else {
+          read_each(s, [&] {
+            auto [obj, v] = read_tuple<2>(s, "trace: malformed write pair");
+            spec.write_set.emplace_back(ObjectId(obj), ValueId(v));
+          });
+        }
+      });
+    }
+  });
+  return inv;
+}
+
+/// Reads an event line whose kind the caller has already looked up: only
+/// that kind's members are read, the others are skipped like unknown keys.
+ExportedEvent read_event(JsonScanner& s, sim::Event::Kind kind) {
+  using Kind = sim::Event::Kind;
+  static constexpr std::string_view kKeys[] = {"seq",  "process", "consumed",
+                                               "sent", "msg",     "lossy"};
+  std::uint32_t need = 0x1;  // seq
+  switch (kind) {
+    case Kind::kStep: need |= 0x2 | 0x4 | 0x8; break;
+    case Kind::kCrash: need |= 0x2 | 0x20; break;
+    case Kind::kRestart: need |= 0x2; break;
+    default: need |= 0x10; break;
+  }
+  ExportedEvent e;
+  ProcessId process;
+  bool lossy = false;
+  read_fields(s, kKeys, need, [&](std::size_t i) {
+    if (!(need >> i & 1)) {
+      s.skip();
+      return;
+    }
+    switch (i) {
+      case 0: e.seq = s.uint(); break;
+      case 1: process = ProcessId(s.uint()); break;
+      case 2: read_each(s, [&] { e.consumed.push_back(read_msg(s)); }); break;
+      case 3: read_each(s, [&] { e.sent.push_back(read_msg(s)); }); break;
+      case 4: e.delivered = read_msg(s); break;
+      default: lossy = s.boolean();
+    }
+  });
+  // Members the kind does not need stay at their defaults (invalid ids,
+  // not lossy), exactly as the sim::Event factories leave them.
+  e.event = {kind, process,
+             e.delivered ? e.delivered->id : MsgId::invalid(), lossy};
+  return e;
+}
+
+hist::TxRecord read_tx(JsonScanner& s) {
+  static constexpr std::string_view kKeys[] = {
+      "id",         "client",       "invoked", "completed",
+      "invoke_seq", "complete_seq", "reads",   "writes"};
+  static constexpr std::string_view kReadKeys[] = {"object", "responded",
+                                                   "value"};
+  static constexpr std::string_view kWriteKeys[] = {"object", "value",
+                                                    "acked"};
   hist::TxRecord t;
-  t.id = TxId(j.get("id").as_uint());
-  t.client = ProcessId(j.get("client").as_uint());
-  t.invoked = j.get("invoked").as_bool();
-  t.completed = j.get("completed").as_bool();
-  t.invoke_seq = j.get("invoke_seq").as_uint();
-  t.complete_seq = j.get("complete_seq").as_uint();
-  for (const auto& r : j.get("reads").as_array()) {
-    hist::ReadOp op;
-    op.object = ObjectId(r.get("object").as_uint());
-    op.responded = r.get("responded").as_bool();
-    if (op.responded) op.value = ValueId(r.get("value").as_uint());
-    t.reads.push_back(op);
-  }
-  for (const auto& w : j.get("writes").as_array())
-    t.writes.push_back({ObjectId(w.get("object").as_uint()),
-                        ValueId(w.get("value").as_uint()),
-                        w.get("acked").as_bool()});
+  read_fields(s, kKeys, 0xFF, [&](std::size_t i) {
+    switch (i) {
+      case 0: t.id = TxId(s.uint()); break;
+      case 1: t.client = ProcessId(s.uint()); break;
+      case 2: t.invoked = s.boolean(); break;
+      case 3: t.completed = s.boolean(); break;
+      case 4: t.invoke_seq = s.uint(); break;
+      case 5: t.complete_seq = s.uint(); break;
+      case 6:
+        read_each(s, [&] {
+          // "value" is null, and not read, for an unanswered read.
+          hist::ReadOp op;
+          bool has_value = false;
+          std::optional<std::uint64_t> value;
+          read_fields(s, kReadKeys, 0x3, [&](std::size_t j) {
+            if (j == 0) {
+              op.object = ObjectId(s.uint());
+            } else if (j == 1) {
+              op.responded = s.boolean();
+            } else {
+              has_value = true;
+              value = s.maybe_uint();
+            }
+          });
+          if (op.responded) {
+            DISCS_CHECK_MSG(has_value, "json: missing field 'value'");
+            DISCS_CHECK_MSG(value.has_value(), "json: not an unsigned integer");
+            op.value = ValueId(*value);
+          }
+          t.reads.push_back(op);
+        });
+        break;
+      default:
+        read_each(s, [&] {
+          hist::WriteOp w;
+          read_fields(s, kWriteKeys, 0x7, [&](std::size_t j) {
+            if (j == 0)
+              w.object = ObjectId(s.uint());
+            else if (j == 1)
+              w.value = ValueId(s.uint());
+            else
+              w.acked = s.boolean();
+          });
+          t.writes.push_back(w);
+        });
+    }
+  });
   return t;
+}
+
+/// Imports one non-empty line into `doc`.
+void import_line(std::string_view line, TraceDoc& doc, bool& saw_header,
+                 bool& saw_footer) {
+  const std::string record = member_string(line, "record");
+  if (record == "header") {
+    const Json j = Json::parse(line);
+    DISCS_CHECK_MSG(!saw_header, "trace: duplicate header");
+    saw_header = true;
+    doc.schema = j.get("schema").as_string();
+    DISCS_CHECK_MSG(
+        doc.schema == kTraceSchema || doc.schema == kTraceSchemaV2,
+        "trace: unsupported schema '" << doc.schema << "' (expected "
+                                      << kTraceSchema << " or "
+                                      << kTraceSchemaV2 << ")");
+    doc.protocol = j.get("protocol").as_string();
+    doc.scenario = j.get("scenario").as_string();
+    doc.cluster = cluster_config_from_json(j.get("cluster"));
+    for (const auto& pair : j.get("initial").as_array()) {
+      const auto& kv = pair.as_array();
+      DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed initial pair");
+      doc.initial[ObjectId(kv[0].as_uint())] = ValueId(kv[1].as_uint());
+      doc.history.set_initial(ObjectId(kv[0].as_uint()),
+                              ValueId(kv[1].as_uint()));
+    }
+    return;
+  }
+  DISCS_CHECK_MSG(saw_header, "trace: first record must be the header");
+  JsonScanner s(line);
+  if (record == "invoke") {
+    doc.invokes.push_back(read_invoke(s));
+    s.finish();
+  } else if (record == "event") {
+    const std::string kind = member_string(line, "kind");
+    const auto* known = std::find_if(
+        std::begin(kEventKinds), std::end(kEventKinds),
+        [&](const auto& k) { return k.second == kind; });
+    // Every kind but step and deliver is a v2 fault event.
+    DISCS_CHECK_MSG(
+        kind == "step" || kind == "deliver" || doc.schema == kTraceSchemaV2,
+        "trace: fault event '" << kind << "' under a " << doc.schema
+                               << " header");
+    DISCS_CHECK_MSG(known != std::end(kEventKinds),
+                    "trace: unknown event kind '" << kind << "'");
+    ExportedEvent e = read_event(s, known->first);
+    s.finish();
+    DISCS_CHECK_MSG(e.seq == doc.events.size(),
+                    "trace: event seq " << e.seq << " out of order");
+    doc.events.push_back(std::move(e));
+  } else if (record == "span") {
+    const Json j = Json::parse(line);
+    DISCS_CHECK_MSG(doc.cluster.record_spans,
+                    "trace: span record without record_spans in header");
+    SpanNote note;
+    note.kind = span_kind_from(j.get("kind").as_string());
+    note.tx = j.get("tx").as_uint();
+    note.proc = j.get("proc").as_uint();
+    note.at = j.get("at").as_uint();
+    note.round = j.get("round").as_uint();
+    doc.spans.push_back(note);
+  } else if (record == "tx") {
+    doc.history.add(read_tx(s));
+    s.finish();
+  } else if (record == "footer") {
+    const Json j = Json::parse(line);
+    saw_footer = true;
+    DISCS_CHECK_MSG(j.get("events").as_uint() == doc.events.size(),
+                    "trace: footer event count mismatch");
+    doc.final_digest = j.get("final_digest").as_string();
+  } else {
+    DISCS_CHECK_MSG(false, "trace: unknown record '" << record << "'");
+  }
 }
 
 }  // namespace
@@ -362,54 +685,32 @@ proto::ClusterConfig cluster_config_from_json(const Json& j) {
   return cfg;
 }
 
-std::string event_line(const ExportedEvent& e) { return event_json(e).dump(); }
+std::string event_line(const ExportedEvent& e) {
+  std::string out;
+  put_event(out, e);
+  return out;
+}
 
 std::string export_prefix_jsonl(const TraceDoc& doc) {
   std::string out;
-  out += header_json(doc).dump();
-  out += '\n';
-  for (const auto& inv : doc.invokes) {
-    out += Json(JsonObject{{"record", Json("invoke")},
-                           {"at", Json(inv.at)},
-                           {"client", Json(inv.client.value())},
-                           {"tx", tx_spec_json(inv.spec)}})
-               .dump();
-    out += '\n';
-  }
+  put_prefix(out, doc);
   return out;
 }
 
 std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events) {
   std::string out;
-  for (const auto& s : doc.spans) {
-    out += Json(JsonObject{{"record", Json("span")},
-                           {"kind", Json(std::string(span_kind_str(s.kind)))},
-                           {"tx", Json(s.tx)},
-                           {"proc", Json(s.proc)},
-                           {"at", Json(s.at)},
-                           {"round", Json(s.round)}})
-               .dump();
-    out += '\n';
-  }
-  for (const auto& t : doc.history.txs()) {
-    out += tx_json(t).dump();
-    out += '\n';
-  }
-  out += Json(JsonObject{{"record", Json("footer")},
-                         {"events", Json(events)},
-                         {"final_digest", Json(doc.final_digest)}})
-             .dump();
-  out += '\n';
+  put_suffix(out, doc, events);
   return out;
 }
 
 std::string export_jsonl(const TraceDoc& doc) {
-  std::string out = export_prefix_jsonl(doc);
+  std::string out;
+  put_prefix(out, doc);
   for (const auto& e : doc.events) {
-    out += event_line(e);
+    put_event(out, e);
     out += '\n';
   }
-  out += export_suffix_jsonl(doc, doc.events.size());
+  put_suffix(out, doc, doc.events.size());
   return out;
 }
 
@@ -425,99 +726,25 @@ TraceDoc import_jsonl(std::string_view text) {
     pos = eol + 1;
     ++line_no;
     if (line.empty()) continue;
-    Json j;
-    try {
-      j = Json::parse(line);
-    } catch (const CheckFailure& e) {
+    auto syntax_error = [&](const JsonSyntaxError& e) {
       DISCS_CHECK_MSG(false, "trace line " << line_no << ": " << e.what());
-    }
-    const std::string& record = j.get("record").as_string();
-    if (record == "header") {
-      DISCS_CHECK_MSG(!saw_header, "trace: duplicate header");
-      saw_header = true;
-      doc.schema = j.get("schema").as_string();
-      DISCS_CHECK_MSG(
-          doc.schema == kTraceSchema || doc.schema == kTraceSchemaV2,
-          "trace: unsupported schema '" << doc.schema << "' (expected "
-                                        << kTraceSchema << " or "
-                                        << kTraceSchemaV2 << ")");
-      doc.protocol = j.get("protocol").as_string();
-      doc.scenario = j.get("scenario").as_string();
-      doc.cluster = cluster_config_from_json(j.get("cluster"));
-      for (const auto& pair : j.get("initial").as_array()) {
-        const auto& kv = pair.as_array();
-        DISCS_CHECK_MSG(kv.size() == 2, "trace: malformed initial pair");
-        doc.initial[ObjectId(kv[0].as_uint())] = ValueId(kv[1].as_uint());
-        doc.history.set_initial(ObjectId(kv[0].as_uint()),
-                                ValueId(kv[1].as_uint()));
+    };
+    try {
+      import_line(line, doc, saw_header, saw_footer);
+    } catch (const JsonSyntaxError& e) {
+      syntax_error(e);
+    } catch (const CheckFailure&) {
+      // The readers stop at the first wrong field; a line that is not JSON
+      // at all still reports its first syntax error, as a whole-line parse
+      // would have.
+      try {
+        JsonScanner whole(line);
+        whole.skip();
+        whole.finish();
+      } catch (const JsonSyntaxError& e) {
+        syntax_error(e);
       }
-      continue;
-    }
-    DISCS_CHECK_MSG(saw_header, "trace: first record must be the header");
-    if (record == "invoke") {
-      InvokeRecord inv;
-      inv.at = j.get("at").as_uint();
-      inv.client = ProcessId(j.get("client").as_uint());
-      inv.spec = tx_spec_from_json(j.get("tx"));
-      doc.invokes.push_back(std::move(inv));
-    } else if (record == "event") {
-      ExportedEvent e;
-      e.seq = j.get("seq").as_uint();
-      const std::string& kind = j.get("kind").as_string();
-      if (kind == "step") {
-        e.event = sim::Event::step(ProcessId(j.get("process").as_uint()));
-        for (const auto& m : j.get("consumed").as_array())
-          e.consumed.push_back(msg_from_json(m));
-        for (const auto& m : j.get("sent").as_array())
-          e.sent.push_back(msg_from_json(m));
-      } else if (kind == "deliver") {
-        e.delivered = msg_from_json(j.get("msg"));
-        e.event = sim::Event::deliver(e.delivered->id);
-      } else {
-        // Every remaining kind is a v2 fault event.
-        DISCS_CHECK_MSG(doc.schema == kTraceSchemaV2,
-                        "trace: fault event '" << kind << "' under a "
-                                               << doc.schema << " header");
-        if (kind == "drop") {
-          e.delivered = msg_from_json(j.get("msg"));
-          e.event = sim::Event::drop(e.delivered->id);
-        } else if (kind == "dup") {
-          e.delivered = msg_from_json(j.get("msg"));
-          e.event = sim::Event::duplicate(e.delivered->id);
-        } else if (kind == "retransmit") {
-          e.delivered = msg_from_json(j.get("msg"));
-          e.event = sim::Event::retransmit(e.delivered->id);
-        } else if (kind == "crash") {
-          e.event = sim::Event::crash(ProcessId(j.get("process").as_uint()),
-                                      j.get("lossy").as_bool());
-        } else if (kind == "restart") {
-          e.event = sim::Event::restart(ProcessId(j.get("process").as_uint()));
-        } else {
-          DISCS_CHECK_MSG(false, "trace: unknown event kind '" << kind << "'");
-        }
-      }
-      DISCS_CHECK_MSG(e.seq == doc.events.size(),
-                      "trace: event seq " << e.seq << " out of order");
-      doc.events.push_back(std::move(e));
-    } else if (record == "span") {
-      DISCS_CHECK_MSG(doc.cluster.record_spans,
-                      "trace: span record without record_spans in header");
-      SpanNote s;
-      s.kind = span_kind_from(j.get("kind").as_string());
-      s.tx = j.get("tx").as_uint();
-      s.proc = j.get("proc").as_uint();
-      s.at = j.get("at").as_uint();
-      s.round = j.get("round").as_uint();
-      doc.spans.push_back(s);
-    } else if (record == "tx") {
-      doc.history.add(tx_from_json(j));
-    } else if (record == "footer") {
-      saw_footer = true;
-      DISCS_CHECK_MSG(j.get("events").as_uint() == doc.events.size(),
-                      "trace: footer event count mismatch");
-      doc.final_digest = j.get("final_digest").as_string();
-    } else {
-      DISCS_CHECK_MSG(false, "trace: unknown record '" << record << "'");
+      throw;
     }
   }
   DISCS_CHECK_MSG(saw_header, "trace: missing header");

@@ -141,8 +141,8 @@ ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
                                   bool& fault);
 
 /// One canonical JSONL line (no trailing newline) for an exported event —
-/// exactly the bytes export_jsonl writes for it.  export_jsonl itself is
-/// built on this, so incremental and batch serialization cannot drift.
+/// exactly the bytes export_jsonl writes for it.  Both use one writer, so
+/// incremental and batch serialization cannot drift.
 std::string event_line(const ExportedEvent& e);
 
 /// Sorts invokes into the canonical artifact order: by (at, tx id).  The

@@ -1,27 +1,22 @@
 #include "proto/common/payloads.h"
 
-#include <sstream>
-
 #include "proto/common/tx.h"
 #include "util/fmt.h"
 
 namespace discs::proto {
 
 std::string TxSpec::describe() const {
-  std::ostringstream os;
-  os << to_string(id) << "(";
+  std::string out = cat(to_string(id), "(");
   bool first = true;
   for (auto obj : read_set) {
-    os << (first ? "" : ", ") << "r(" << to_string(obj) << ")";
+    out += cat(first ? "" : ", ", "r(", to_string(obj), ")");
     first = false;
   }
   for (const auto& [obj, v] : write_set) {
-    os << (first ? "" : ", ") << "w(" << to_string(obj) << ")"
-       << to_string(v);
+    out += cat(first ? "" : ", ", "w(", to_string(obj), ")", to_string(v));
     first = false;
   }
-  os << ")";
-  return os.str();
+  return out + ")";
 }
 
 TxSpec IdSource::read_tx(const std::vector<ObjectId>& objects) {

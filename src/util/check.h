@@ -20,12 +20,15 @@ class CheckFailure : public std::logic_error {
   explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
 };
 
-[[noreturn]] inline void check_failed(const char* expr, const char* file,
-                                      int line, const std::string& msg) {
+/// Throws `Error` (a CheckFailure) carrying the failing expression,
+/// location and message.
+template <class Error = CheckFailure>
+[[noreturn]] void check_failed(const char* expr, const char* file, int line,
+                               const std::string& msg) {
   std::ostringstream os;
   os << "DISCS_CHECK failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckFailure(os.str());
+  throw Error(os.str());
 }
 
 }  // namespace discs

@@ -4,15 +4,23 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "consistency/checkers.h"
+#include "fault/plan.h"
 #include "obs/json.h"
 #include "obs/metrics_io.h"
 #include "obs/registry.h"
 #include "obs/ring.h"
 #include "obs/trace_io.h"
 #include "proto/registry.h"
+#include "util/fmt.h"
 
 namespace discs {
 namespace {
@@ -255,6 +263,276 @@ TEST(TraceIo, UnknownScenarioThrows) {
   proto::ClusterConfig cfg;
   EXPECT_THROW(obs::capture_scenario(*protocol, "no-such-scenario", cfg),
                CheckFailure);
+}
+
+// --- trace codec -----------------------------------------------------------
+//
+// The trace writer and importer work on the text directly, without a Json
+// tree per line.  These tests pin that they agree with the tree: the same
+// bytes, and the same acceptance for edited and damaged artifacts.
+
+proto::ClusterConfig small_cluster() {
+  proto::ClusterConfig cfg;
+  cfg.num_servers = 2;
+  cfg.num_clients = 5;
+  cfg.num_objects = 2;
+  return cfg;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    lines.push_back(text.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& l : lines) out += l + "\n";
+  return out;
+}
+
+/// Re-renders a JSON value the way a hand edit might leave it: members in
+/// reverse order, each key's first letter written as a \u escape, padding
+/// around every token, an unknown member in front and a null duplicate of
+/// the first key at the back (Json::find keeps the first occurrence).
+std::string scrambled(const Json& j) {
+  if (j.is_array()) {
+    std::string out = "[ ";
+    bool first = true;
+    for (const auto& e : j.as_array()) {
+      if (!first) out += " ,\t";
+      first = false;
+      out += scrambled(e);
+    }
+    return out + " ]";
+  }
+  if (!j.is_object()) return j.dump();
+  const JsonObject& members = j.as_object();
+  std::string out = "{ \"zz_unknown\" : {\"a\":[1,\"x\",null,{}]}";
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    char esc[8];
+    std::snprintf(esc, sizeof esc, "\\u%04x",
+                  static_cast<unsigned char>(it->first[0]));
+    out += " ,\t\"" + std::string(esc) + it->first.substr(1) + "\" :  " +
+           scrambled(it->second);
+  }
+  if (!members.empty())
+    out += ", " + Json(members.front().first).dump() + ":null";
+  return out + " \r}";
+}
+
+TEST(TraceCodec, ImportIgnoresKeyOrderPaddingEscapesAndUnknownKeys) {
+  auto protocol = proto::protocol_by_name("cops-snow");
+  const std::string bytes =
+      obs::export_jsonl(obs::capture_scenario(*protocol, "mixed",
+                                              small_cluster()));
+  std::vector<std::string> lines = split_lines(bytes);
+  for (auto& line : lines) line = scrambled(Json::parse(line));
+  const std::string edited = join_lines(lines);
+  ASSERT_NE(edited, bytes);
+
+  const obs::TraceDoc canonical = obs::import_jsonl(bytes);
+  const obs::TraceDoc back = obs::import_jsonl(edited);
+  EXPECT_EQ(obs::export_jsonl(back), bytes);
+  ASSERT_EQ(back.events.size(), canonical.events.size());
+  bool step = false, deliver = false;
+  for (std::size_t i = 0; i < back.events.size(); ++i) {
+    const obs::ExportedEvent& a = canonical.events[i];
+    const obs::ExportedEvent& b = back.events[i];
+    step |= a.event.kind == sim::Event::Kind::kStep;
+    deliver |= a.event.kind == sim::Event::Kind::kDeliver;
+    EXPECT_EQ(b.event, a.event) << i;
+    EXPECT_EQ(b.seq, a.seq);
+    EXPECT_EQ(b.consumed, a.consumed);
+    EXPECT_EQ(b.sent, a.sent);
+    EXPECT_EQ(b.delivered, a.delivered);
+  }
+  EXPECT_TRUE(step && deliver);
+}
+
+TEST(TraceCodec, DirectWriterAgreesWithTheJsonTree) {
+  std::size_t lines = 0;
+  auto expect_agrees = [&](const obs::TraceDoc& doc) {
+    for (const auto& e : doc.events) {
+      const std::string line = obs::event_line(e);
+      ASSERT_EQ(Json::parse(line).dump(), line);
+    }
+    for (const auto& line : split_lines(obs::export_jsonl(doc))) {
+      ASSERT_EQ(Json::parse(line).dump(), line);
+      ++lines;
+    }
+  };
+  for (const auto& p : proto::all_protocols())
+    for (const auto& scenario : obs::exportable_scenarios()) {
+      SCOPED_TRACE(p->name() + " " + scenario);
+      expect_agrees(obs::capture_scenario(*p, scenario, small_cluster()));
+    }
+
+  auto cops = proto::protocol_by_name("cops-snow");
+  obs::FaultedCaptureOptions faulted;
+  faulted.plan.seed = 3;
+  faulted.plan.rules.push_back(fault::drop_rule(0.35, 4));
+  faulted.plan.rules.push_back(fault::duplicate_rule(0.25));
+  const obs::TraceDoc v2 = obs::capture_faulted(*cops, faulted);
+  ASSERT_EQ(v2.schema, obs::kTraceSchemaV2);
+  expect_agrees(v2);
+
+  auto ramp = proto::protocol_by_name("ramp");
+  obs::WorkloadCaptureOptions spans;
+  spans.cluster.num_servers = 3;
+  spans.cluster.num_clients = 4;
+  spans.cluster.num_objects = 6;
+  spans.cluster.record_spans = true;
+  spans.workload.num_txs = 12;
+  spans.workload.read_objects = 2;
+  spans.workload.seed = 3;
+  const obs::TraceDoc annotated = obs::capture_workload(*ramp, spans).doc;
+  ASSERT_FALSE(annotated.spans.empty());
+  expect_agrees(annotated);
+  EXPECT_GT(lines, 1000u);
+}
+
+/// The rejection message of `text`, or "" when it imports.
+std::string rejection(const std::string& text) {
+  try {
+    obs::import_jsonl(text);
+  } catch (const CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceCodec, EveryRejectionKeepsItsDiagnostic) {
+  auto protocol = proto::protocol_by_name("naivefast");
+  const std::string bytes = obs::export_jsonl(
+      obs::capture_scenario(*protocol, "quickread", small_cluster()));
+  const std::vector<std::string> lines = split_lines(bytes);
+  auto first_line_with = [&](const char* text) {
+    std::size_t i = 0;
+    while (i < lines.size() && lines[i].find(text) == std::string::npos) ++i;
+    return i;
+  };
+  const std::size_t first_event = first_line_with("\"record\":\"event\"");
+  const std::size_t deliver = first_line_with("\"kind\":\"deliver\"");
+  ASSERT_LT(deliver, lines.size());
+  auto edited = [&](auto edit) {
+    std::vector<std::string> copy = lines;
+    edit(copy);
+    return join_lines(copy);
+  };
+  auto expect_rejects = [](const std::string& text, const std::string& what) {
+    const std::string got = rejection(text);
+    EXPECT_NE(got.find(what), std::string::npos)
+        << "expected '" << what << "', got '" << got << "'";
+    EXPECT_EQ(got.find('\n'), std::string::npos) << got;
+  };
+
+  ASSERT_EQ(rejection(bytes), "");
+  expect_rejects(edited([&](auto& l) { l[first_event].pop_back(); }),
+                 cat("trace line ", first_event + 1, ": "));
+  expect_rejects(edited([&](auto& l) { l[first_event].pop_back(); }),
+                 cat("json: expected '}' at offset ",
+                     lines[first_event].size() - 1));
+  // A wrong field ahead of a syntax error still reports the syntax error.
+  const std::string both = edited([&](auto& l) {
+    auto& e = l[first_event];
+    e.replace(e.find("\"seq\":0"), 7, "\"seq\":\"0\"");
+    e.pop_back();
+  });
+  expect_rejects(both, cat("trace line ", first_event + 1, ": "));
+  expect_rejects(both, cat("json: expected '}' at offset ",
+                           lines[first_event].size() + 1));
+  expect_rejects(edited([&](auto& l) {
+                   auto& e = l[first_event];
+                   e.erase(e.find("\"seq\":0,"), 8);
+                 }),
+                 "json: missing field 'seq'");
+  expect_rejects(edited([&](auto& l) {
+                   auto& e = l[deliver];
+                   e.replace(e.find("\"deliver\""), 9, "\"drop\"");
+                 }),
+                 "trace: fault event 'drop' under a discs.trace.v1 header");
+  expect_rejects(
+      edited([&](auto& l) { std::swap(l[first_event], l[first_event + 1]); }),
+      "trace: event seq 1 out of order");
+  expect_rejects(edited([&](auto& l) {
+                   auto& e = l[first_event];
+                   e.replace(e.find("\"seq\":0"), 7, "\"seq\":\"0\"");
+                 }),
+                 "json: not an unsigned integer");
+  expect_rejects(edited([&](auto& l) {
+                   std::size_t last = l.size() - 1;
+                   while (l[last].find("\"record\":\"event\"") ==
+                          std::string::npos)
+                     --last;
+                   l.erase(l.begin() + static_cast<std::ptrdiff_t>(last));
+                 }),
+                 "trace: footer event count mismatch");
+  expect_rejects(edited([](auto& l) { l.erase(l.begin()); }),
+                 "trace: first record must be the header");
+  expect_rejects("", "trace: missing header");
+  expect_rejects(edited([](auto& l) { l.pop_back(); }),
+                 "trace: missing footer");
+}
+
+/// The first whole lines of `text` that fit in `limit` bytes.
+std::string head_lines(const std::string& text, std::size_t limit) {
+  if (text.size() <= limit) return text;
+  return text.substr(0, text.rfind('\n', limit) + 1);
+}
+
+TEST(TraceCodec, DamagedArtifactsImportOrThrowCheckFailure) {
+  // Deterministic damage over the committed artifacts: truncation at every
+  // 97th byte, one flipped byte at every 131st offset (the XOR mask cycles,
+  // turning '{' into '[', digits into control bytes, quotes into '#', ...)
+  // and every pair of adjacent lines swapped.  Each result must import or
+  // throw CheckFailure; anything else (a crash, another exception) fails.
+  // The large wren artifact is cut to its first 96 KiB of lines to keep the
+  // pass quick under the sanitizers.
+  const std::string dir = DISCS_TEST_DATA_DIR;
+  const char* files[] = {"golden/cops-snow.mixed.trace.jsonl",
+                         "golden/naivefast.mixed.trace.jsonl",
+                         "golden/spanner.mixed.trace.jsonl",
+                         "golden/wren.mixed.trace.jsonl",
+                         "span_fixture.jsonl"};
+  const unsigned char masks[] = {0x20, 0x01, 0x80, 0xFF, 0x0A, 0x5D};
+  std::size_t imported = 0, rejected = 0;
+  auto attempt = [&](const std::string& text) {
+    try {
+      obs::import_jsonl(text);
+      ++imported;
+    } catch (const CheckFailure&) {
+      ++rejected;
+    }
+  };
+  for (const char* name : files) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    ASSERT_TRUE(in.good()) << name;
+    std::ostringstream os;
+    os << in.rdbuf();
+    const std::string text = head_lines(os.str(), 96 * 1024);
+    for (std::size_t k = 0; k < text.size(); k += 97)
+      attempt(text.substr(0, k));
+    for (std::size_t k = 0, n = 0; k < text.size(); k += 131, ++n) {
+      std::string flipped = text;
+      flipped[k] = static_cast<char>(flipped[k] ^ masks[n % std::size(masks)]);
+      attempt(flipped);
+    }
+    const std::vector<std::string> lines = split_lines(text);
+    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+      std::vector<std::string> swapped = lines;
+      std::swap(swapped[i], swapped[i + 1]);
+      attempt(join_lines(swapped));
+    }
+  }
+  EXPECT_GT(imported, 0u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 // --- Ring ------------------------------------------------------------------

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string_view>
 
+#include "clock/clocks.h"
 #include "metrics/metrics.h"
 #include "util/check.h"
 #include "util/fmt.h"
@@ -109,6 +114,64 @@ TEST(Fmt, CatAndJoin) {
   std::vector<int> v{1, 2, 3};
   EXPECT_EQ(join(v, ","), "1,2,3");
   EXPECT_EQ(join(v, "-", [](int x) { return x * 2; }), "2-4-6");
+}
+
+// cat/join append strings, chars and decimal integers directly and stream
+// everything else; either way the bytes must be what a default-formatted
+// std::ostringstream produces for the same arguments.
+template <class... Args>
+std::string streamed(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+TEST(Fmt, CatMatchesTheStreamForEveryArgumentKind) {
+  const std::string s = "str";
+  const std::string_view sv = "view";
+  const char* cs = "cstr";
+  EXPECT_EQ(cat(s, sv, cs, 'c', "lit"), streamed(s, sv, cs, 'c', "lit"));
+  EXPECT_EQ(cat(true, false), streamed(true, false));
+  EXPECT_EQ(cat(true, false), "10");
+  const std::int8_t i8 = 65;
+  const std::uint8_t u8 = 66;
+  EXPECT_EQ(cat(i8, u8), streamed(i8, u8));
+  EXPECT_EQ(cat(i8, u8), "AB");
+  const int neg = -42;
+  const std::int64_t min64 = std::numeric_limits<std::int64_t>::min();
+  const std::uint64_t max64 = std::numeric_limits<std::uint64_t>::max();
+  const short sh = -7;
+  const unsigned long ul = 123456789UL;
+  EXPECT_EQ(cat(neg, min64, max64, sh, ul, 0),
+            streamed(neg, min64, max64, sh, ul, 0));
+  EXPECT_EQ(cat(max64), "18446744073709551615");
+  for (double d : {0.1, 1.0 / 3, 2.5, 1e21, -0.0, 123456789.0})
+    EXPECT_EQ(cat(d), streamed(d)) << d;
+  EXPECT_EQ(cat(1.0 / 3), "0.333333");  // stream default precision 6
+  EXPECT_EQ(cat(to_string(TxId(17)), to_string(ObjectId::invalid())),
+            streamed(to_string(TxId(17)), to_string(ObjectId::invalid())));
+  const clk::HlcTimestamp ts{12, max64};
+  EXPECT_EQ(ts.str(), streamed(ts.physical, ".", ts.logical));
+  clk::VectorClock vc(3);
+  vc.set(0, 5);
+  vc.set(2, max64);
+  EXPECT_EQ(vc.str(), streamed("[", 5, ",", 0, ",", max64, "]"));
+}
+
+TEST(Fmt, JoinMatchesTheStream) {
+  const std::vector<std::uint64_t> u{
+      0, 7, std::numeric_limits<std::uint64_t>::max()};
+  EXPECT_EQ(join(u, ","), streamed(u[0], ",", u[1], ",", u[2]));
+  const std::vector<std::int8_t> c{72, 105};
+  EXPECT_EQ(join(c, ""), "Hi");
+  const std::vector<bool> b{true, false};
+  EXPECT_EQ(join(b, "|"), "1|0");
+  const std::vector<double> d{0.5, 1.0 / 7};
+  EXPECT_EQ(join(d, " "), streamed(d[0], " ", d[1]));
+  EXPECT_EQ(join(std::vector<int>{}, ","), "");
+  EXPECT_EQ(join(std::vector<ObjectId>{ObjectId(1), ObjectId(20)}, ",",
+                 [](ObjectId o) { return to_string(o); }),
+            "X1,X20");
 }
 
 TEST(Fmt, AsciiTable) {
