@@ -8,7 +8,9 @@
 // process cloned, trace forked) to expose the old deep-copy cost for
 // comparison — the Snapshot/SnapshotDeepDiverge ratio at large histories
 // is the COW win.  BM_TraceExport/BM_TraceImport time the trace codec
-// (export_jsonl / import_jsonl, bytes/s) on one audit-shaped wren history.
+// (export_jsonl / import_jsonl, bytes/s) on one audit-shaped wren history;
+// BM_MakeDoc/BM_ReplayDoc time the audit path's other two stages (make_doc
+// of the finished run, replay_doc of the imported document) on the same.
 //
 // Flags: the shared bench main (harness.h: --smoke, --out=PATH, the
 // --benchmark_* flags), plus --phases (below) instead of benchmarking.
@@ -20,6 +22,7 @@
 #include <exception>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -409,33 +412,42 @@ void BM_ParallelForPooled(benchmark::State& state) {
 
 /// One wren history shaped like the repository benchmark's audit workload
 /// (4 servers, 4 clients, 64 objects, Zipf 0.99, 50% writes, 20
-/// transactions run concurrently), captured as a trace document.
-obs::TraceDoc audit_shaped_doc() {
-  auto protocol = proto::protocol_by_name("wren");
+/// transactions run concurrently): the finished run and its invocations.
+struct AuditShapedRun {
+  std::unique_ptr<proto::Protocol> protocol = proto::protocol_by_name("wren");
   proto::ClusterConfig ccfg;
-  ccfg.num_servers = 4;
-  ccfg.num_clients = 4;
-  ccfg.num_objects = 64;
-  wl::WorkloadConfig wcfg;
-  wcfg.num_txs = 20;
-  wcfg.write_fraction = 0.5;
-  wcfg.multi_write_fraction = 0.5;
-  wcfg.read_objects = 2;
-  wcfg.write_objects = 2;
-  wcfg.zipf_theta = 0.99;
-  wcfg.seed = 1;
-  wcfg.collect_history = true;
   sim::Simulation sim;
-  proto::IdSource ids;
-  proto::Cluster cluster = protocol->build(sim, ccfg, ids);
-  wl::WorkloadResult res =
-      wl::run_workload_concurrent(sim, *protocol, cluster, ids, wcfg);
+  proto::Cluster cluster;
   std::vector<obs::InvokeRecord> invokes;
-  for (const auto& w : res.windows)
-    invokes.push_back({w.invoked_at, w.client, w.spec});
-  return obs::make_doc(*protocol, "bench.audit", ccfg, sim, cluster,
-                       std::move(invokes));
-}
+
+  AuditShapedRun() {
+    ccfg.num_servers = 4;
+    ccfg.num_clients = 4;
+    ccfg.num_objects = 64;
+    wl::WorkloadConfig wcfg;
+    wcfg.num_txs = 20;
+    wcfg.write_fraction = 0.5;
+    wcfg.multi_write_fraction = 0.5;
+    wcfg.read_objects = 2;
+    wcfg.write_objects = 2;
+    wcfg.zipf_theta = 0.99;
+    wcfg.seed = 1;
+    wcfg.collect_history = true;
+    proto::IdSource ids;
+    cluster = protocol->build(sim, ccfg, ids);
+    wl::WorkloadResult res =
+        wl::run_workload_concurrent(sim, *protocol, cluster, ids, wcfg);
+    for (const auto& w : res.windows)
+      invokes.push_back({w.invoked_at, w.client, w.spec});
+  }
+
+  obs::TraceDoc doc() const {
+    return obs::make_doc(*protocol, "bench.audit", ccfg, sim, cluster,
+                         invokes);
+  }
+};
+
+obs::TraceDoc audit_shaped_doc() { return AuditShapedRun().doc(); }
 
 void BM_TraceExport(benchmark::State& state) {
   const obs::TraceDoc doc = audit_shaped_doc();
@@ -448,6 +460,27 @@ void BM_TraceExport(benchmark::State& state) {
   }
   state.counters["bytes/s"] = benchmark::Counter(
       static_cast<double>(bytes), benchmark::Counter::kIsRate);
+}
+
+/// The audit path's first stage: the finished run captured as a document.
+void BM_MakeDoc(benchmark::State& state) {
+  const AuditShapedRun run;
+  for (auto _ : state) {
+    obs::TraceDoc doc = run.doc();
+    benchmark::DoNotOptimize(doc);
+  }
+}
+
+/// The audit path's replay stage: the imported document re-executed and
+/// re-captured.
+void BM_ReplayDoc(benchmark::State& state) {
+  const AuditShapedRun run;
+  const obs::TraceDoc doc = obs::import_jsonl(obs::export_jsonl(run.doc()));
+  for (auto _ : state) {
+    obs::DocReplay replay = obs::replay_doc(doc, *run.protocol);
+    if (!replay.ok) state.SkipWithError(replay.error.c_str());
+    benchmark::DoNotOptimize(replay);
+  }
 }
 
 void BM_TraceImport(benchmark::State& state) {
@@ -545,6 +578,8 @@ void register_benchmarks(bool smoke) {
   benchmark::RegisterBenchmark("BM_ParallelForPooled", BM_ParallelForPooled);
   benchmark::RegisterBenchmark("BM_TraceExport", BM_TraceExport);
   benchmark::RegisterBenchmark("BM_TraceImport", BM_TraceImport);
+  benchmark::RegisterBenchmark("BM_MakeDoc", BM_MakeDoc);
+  benchmark::RegisterBenchmark("BM_ReplayDoc", BM_ReplayDoc);
 }
 
 }  // namespace

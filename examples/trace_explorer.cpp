@@ -305,15 +305,15 @@ struct InspectFilter {
       bool hit = false;
       if (e.event.kind == sim::Event::Kind::kStep) hit = (e.event.process == p);
       if (e.delivered) hit |= (e.delivered->src == p || e.delivered->dst == p);
-      for (const auto& m : e.sent) hit |= (m.src == p || m.dst == p);
-      for (const auto& m : e.consumed) hit |= (m.src == p || m.dst == p);
+      for (const auto& m : e.sent) hit |= (m->src == p || m->dst == p);
+      for (const auto& m : e.consumed) hit |= (m->src == p || m->dst == p);
       if (!hit) return false;
     }
     if (kind) {
       bool hit = false;
       if (e.delivered) hit |= (e.delivered->kind == *kind);
-      for (const auto& m : e.sent) hit |= (m.kind == *kind);
-      for (const auto& m : e.consumed) hit |= (m.kind == *kind);
+      for (const auto& m : e.sent) hit |= (m->kind == *kind);
+      for (const auto& m : e.consumed) hit |= (m->kind == *kind);
       if (!hit) return false;
     }
     return true;
@@ -350,11 +350,13 @@ int cmd_inspect(const std::string& path, const InspectFilter& filter) {
     if (e.event.kind == sim::Event::Kind::kStep) {
       std::cout << "step " << to_string(e.event.process) << "\n";
       for (const auto& m : e.consumed)
-        std::cout << "      consumed " << message_line(m) << "\n";
+        std::cout << "      consumed " << message_line(*m) << "\n";
       for (const auto& m : e.sent)
-        std::cout << "      sent     " << message_line(m) << "\n";
-    } else {
+        std::cout << "      sent     " << message_line(*m) << "\n";
+    } else if (e.delivered) {
       std::cout << "deliver " << message_line(*e.delivered) << "\n";
+    } else {
+      std::cout << e.event.describe() << "\n";  // crash / restart
     }
   }
   std::cout << "  (" << shown << " shown)\n";

@@ -225,19 +225,33 @@ void JsonScanner::finish() {
   if (pos_ != text_.size()) fail("trailing characters");
 }
 
-void JsonScanner::open_object() {
-  if (peek() != '{') mismatch("json: not an object");
+std::string_view JsonScanner::rest() {
+  skip_ws();
+  return text_.substr(pos_);
+}
+
+void JsonScanner::open(char c, const char* mismatched) {
+  if (peek() != c) mismatch(mismatched);
+  if (depth_ == kJsonMaxDepth)
+    fail(cat("nesting deeper than ", kJsonMaxDepth));
+  ++depth_;
   ++pos_;
   opened_ = true;
 }
+
+void JsonScanner::open_object() { open('{', "json: not an object"); }
 
 bool JsonScanner::next_key(std::string_view& key) {
   skip_ws();
   if (opened_) {
     opened_ = false;
-    if (consume('}')) return false;
+    if (consume('}')) {
+      --depth_;
+      return false;
+    }
   } else if (!consume(',')) {
     expect('}');
+    --depth_;
     return false;
   }
   skip_ws();
@@ -247,20 +261,19 @@ bool JsonScanner::next_key(std::string_view& key) {
   return true;
 }
 
-void JsonScanner::open_array() {
-  if (peek() != '[') mismatch("json: not an array");
-  ++pos_;
-  opened_ = true;
-}
+void JsonScanner::open_array() { open('[', "json: not an array"); }
 
 bool JsonScanner::next_element() {
   skip_ws();
   if (opened_) {
     opened_ = false;
-    return !consume(']');
+    if (!consume(']')) return true;
+  } else if (consume(',')) {
+    return true;
+  } else {
+    expect(']');
   }
-  if (consume(',')) return true;
-  expect(']');
+  --depth_;
   return false;
 }
 

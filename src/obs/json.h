@@ -100,6 +100,13 @@ class JsonSyntaxError : public CheckFailure {
   using CheckFailure::CheckFailure;
 };
 
+/// Objects and arrays nest at most this deep.  Every reader built on
+/// JsonScanner (Json::parse, the trace codec, fault plans, chaos repros,
+/// metrics timelines) recurses once per level, so deeper text is a syntax
+/// error ("json: nesting deeper than 512 at offset <byte>") rather than a
+/// stack overflow.
+inline constexpr std::size_t kJsonMaxDepth = 512;
+
 /// A pull scanner over one JSON text that builds nothing: callers read the
 /// values they expect where they expect them.  Strings come back as views
 /// into the text (or into one reused buffer when they hold escapes), so a
@@ -112,6 +119,17 @@ class JsonSyntaxError : public CheckFailure {
 class JsonScanner {
  public:
   explicit JsonScanner(std::string_view text) : text_(text) {}
+
+  /// The unread text from the next value on (whitespace skipped).
+  std::string_view rest();
+  /// The scan position: a byte offset into the whole text.
+  std::size_t offset() const { return pos_; }
+  /// Objects and arrays open around the scan position.
+  std::size_t depth() const { return depth_; }
+  /// Steps over the first `n` bytes of rest(), which the caller has matched
+  /// byte for byte against one complete value it read before at no lesser
+  /// depth() — so reading them again could only repeat that read.
+  void advance(std::size_t n) { pos_ += n; }
 
   /// Skips whitespace and returns the first character of the next value.
   char peek();
@@ -155,11 +173,13 @@ class JsonScanner {
   bool consume(char c);
   void expect(char c);
   bool consume_word(std::string_view w);
+  void open(char c, const char* mismatched);
   std::string_view raw_string();
   Scalar number();
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   /// Set by open_object/open_array until the first next_key/next_element.
   bool opened_ = false;
   std::string scratch_;  ///< decoded form of the last escaped string

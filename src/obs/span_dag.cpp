@@ -72,13 +72,13 @@ SpanDag::SpanDag(const TraceDoc& doc) : doc_(doc) {
   for (const auto& e : doc.events) {
     if (e.event.kind == sim::Event::Kind::kStep) {
       for (const auto& m : e.consumed) {
-        auto& mt = msgs_[m.id.value()];
-        if (!mt.msg) { mt.src = m.src; mt.dst = m.dst; mt.msg = &m; }
+        auto& mt = msgs_[m->id.value()];
+        if (!mt.msg) { mt.src = m->src; mt.dst = m->dst; mt.msg = m.get(); }
         if (!mt.consumed_at) mt.consumed_at = e.seq;
       }
       for (const auto& m : e.sent) {
-        auto& mt = msgs_[m.id.value()];
-        if (!mt.msg) { mt.src = m.src; mt.dst = m.dst; mt.msg = &m; }
+        auto& mt = msgs_[m->id.value()];
+        if (!mt.msg) { mt.src = m->src; mt.dst = m->dst; mt.msg = m.get(); }
         if (!mt.sent_at) mt.sent_at = e.seq;
       }
     } else if (e.event.kind == sim::Event::Kind::kDeliver && e.delivered) {
@@ -86,7 +86,7 @@ SpanDag::SpanDag(const TraceDoc& doc) : doc_(doc) {
       if (!mt.msg) {
         mt.src = e.delivered->src;
         mt.dst = e.delivered->dst;
-        mt.msg = &*e.delivered;
+        mt.msg = e.delivered.get();
       }
       if (!mt.delivered_at) mt.delivered_at = e.seq;
     }
@@ -136,7 +136,8 @@ RotProfile SpanDag::profile(TxId tx) const {
 
     if (p == ti.client) {
       bool sent_request = false;
-      for (const auto& m : e.sent) {
+      for (const auto& ref : e.sent) {
+        const ExportedMessage& m = *ref;
         if (!is_server(m.dst) || !contains(m.req_txs, tx.value())) continue;
         sent_request = true;
         for (const auto& [t, obj] : m.req_objs)
@@ -150,11 +151,12 @@ RotProfile SpanDag::profile(TxId tx) const {
 
     bool consumed_request = false;
     for (const auto& m : e.consumed)
-      if (m.src == ti.client && contains(m.req_txs, tx.value()))
+      if (m->src == ti.client && contains(m->req_txs, tx.value()))
         consumed_request = true;
 
     bool replied = false;
-    for (const auto& m : e.sent) {
+    for (const auto& ref : e.sent) {
+      const ExportedMessage& m = *ref;
       if (m.dst != ti.client || !contains(m.rep_txs, tx.value())) continue;
       replied = true;
       out.reply_bytes += m.bytes;

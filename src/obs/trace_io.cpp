@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <iterator>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "fault/session.h"
@@ -73,15 +75,21 @@ void sort_invokes(std::vector<InvokeRecord>& invokes) {
             });
 }
 
-ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
-                                  bool& fault) {
+namespace {
+
+/// One live record as an ExportedEvent, each message converted by
+/// `convert` (sim::Message -> MessageRef); ORs the schema decision into
+/// `fault`.
+template <class Convert>
+ExportedEvent export_record(const sim::EventRecord& rec, bool& fault,
+                            Convert convert) {
   ExportedEvent e;
   e.event = rec.event;
   e.seq = rec.seq;
-  for (const auto& m : rec.consumed)
-    e.consumed.push_back(ExportedMessage::from(m, spans));
-  for (const auto& m : rec.sent)
-    e.sent.push_back(ExportedMessage::from(m, spans));
+  e.consumed.reserve(rec.consumed.size());
+  for (const auto& m : rec.consumed) e.consumed.push_back(convert(m));
+  e.sent.reserve(rec.sent.size());
+  for (const auto& m : rec.sent) e.sent.push_back(convert(m));
   switch (rec.event.kind) {
     case sim::Event::Kind::kStep:
       break;
@@ -89,7 +97,7 @@ ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
     case sim::Event::Kind::kDrop:
     case sim::Event::Kind::kDuplicate:
     case sim::Event::Kind::kRetransmit:
-      e.delivered = ExportedMessage::from(rec.delivered, spans);
+      e.delivered = convert(rec.delivered);
       fault |= rec.event.kind != sim::Event::Kind::kDeliver;
       break;
     case sim::Event::Kind::kCrash:
@@ -100,11 +108,43 @@ ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
   return e;
 }
 
+}  // namespace
+
+ExportedEvent export_event_record(const sim::EventRecord& rec, bool spans,
+                                  bool& fault) {
+  return export_record(rec, fault, [&](const sim::Message& m) {
+    return std::make_shared<const ExportedMessage>(
+        ExportedMessage::from(m, spans));
+  });
+}
+
 bool export_event_records(std::span<const sim::EventRecord> records,
                           bool spans, TraceDoc& doc) {
+  // The latest record made for each message id, with the inputs of
+  // ExportedMessage::from it was made from.  Every record of `records`
+  // holds its payload alive, so equal payload addresses are one object.
+  struct Made {
+    ProcessId src, dst;
+    const sim::Payload* payload;
+    MessageRef ref;
+  };
+  std::unordered_map<std::uint64_t, Made> made;
+  made.reserve(records.size());
+  auto convert = [&](const sim::Message& m) {
+    auto [it, fresh] = made.try_emplace(m.id.value());
+    Made& e = it->second;
+    if (fresh || e.src != m.src || e.dst != m.dst ||
+        e.payload != m.payload.get()) {
+      e = {m.src, m.dst, m.payload.get(),
+           std::make_shared<const ExportedMessage>(
+               ExportedMessage::from(m, spans))};
+    }
+    return e.ref;
+  };
   bool any_fault = false;
+  doc.events.reserve(doc.events.size() + records.size());
   for (const auto& rec : records)
-    doc.events.push_back(export_event_record(rec, spans, any_fault));
+    doc.events.push_back(export_record(rec, any_fault, convert));
   return any_fault;
 }
 
@@ -217,9 +257,32 @@ void put_msg(std::string& out, const ExportedMessage& m) {
   out += '}';
 }
 
-void put_event(std::string& out, const ExportedEvent& e) {
-  auto put_msgs = [&](const std::vector<ExportedMessage>& msgs) {
-    put_array(out, msgs, [&](const ExportedMessage& m) { put_msg(out, m); });
+/// Where export_jsonl wrote each shared record so far: [offset, length)
+/// of its JSON in the output.  Every record of the document is alive while
+/// it is written, so equal addresses are one record.
+using WrittenMessages =
+    std::unordered_map<const ExportedMessage*,
+                       std::pair<std::size_t, std::size_t>>;
+
+/// Writes `m`, or copies its bytes when `written` holds them already.
+void put_msg(std::string& out, const MessageRef& m, WrittenMessages* written) {
+  if (written == nullptr) return put_msg(out, *m);
+  auto [it, fresh] = written->try_emplace(m.get());
+  auto& [begin, size] = it->second;
+  if (!fresh) {
+    out.append(out, begin, size);
+    return;
+  }
+  begin = out.size();
+  put_msg(out, *m);
+  size = out.size() - begin;
+}
+
+void put_event(std::string& out, const ExportedEvent& e,
+               WrittenMessages* written = nullptr) {
+  auto put_msgs = [&](const std::vector<MessageRef>& msgs) {
+    put_array(out, msgs,
+              [&](const MessageRef& m) { put_msg(out, m, written); });
   };
   const std::string_view kind = event_kind_name(e.event.kind);
   put_uint(out, "{\"record\":\"event\",\"seq\":", e.seq);
@@ -243,10 +306,10 @@ void put_event(std::string& out, const ExportedEvent& e) {
       break;
     default:
       // deliver / drop / dup / retransmit: one affected message each.
-      DISCS_CHECK_MSG(e.delivered.has_value(),
+      DISCS_CHECK_MSG(e.delivered != nullptr,
                       "trace: " << kind << " event without message");
       out += ",\"msg\":";
-      put_msg(out, *e.delivered);
+      put_msg(out, e.delivered, written);
   }
   out += '}';
 }
@@ -405,7 +468,7 @@ std::string member_string(std::string_view line, std::string_view key) {
   return {};
 }
 
-ExportedMessage read_msg(JsonScanner& s) {
+ExportedMessage read_message(JsonScanner& s) {
   static constexpr std::string_view kKeys[] = {
       "id",     "src",    "dst",    "kind",    "desc",   "values",
       "bytes",  "rotreq", "rotrep", "rotobjs", "rotvals"};
@@ -439,6 +502,51 @@ ExportedMessage read_msg(JsonScanner& s) {
   return m;
 }
 
+/// Message objects import_jsonl has parsed in full, by the id their text
+/// starts with: the object's bytes, the depth() it was read at and its
+/// record.
+struct ParsedMessage {
+  std::string_view bytes;
+  std::size_t depth;
+  MessageRef ref;
+};
+using ParsedMessages = std::unordered_map<std::uint64_t, ParsedMessage>;
+
+/// The id a message object's text starts with when it is written the way
+/// the exporter writes it (`{"id":<digits>`).
+std::optional<std::uint64_t> leading_id(std::string_view text) {
+  constexpr std::string_view kPrefix = "{\"id\":";
+  if (!text.starts_with(kPrefix)) return std::nullopt;
+  const char* first = text.data() + kPrefix.size();
+  std::uint64_t id = 0;
+  auto [end, ec] = std::from_chars(first, text.data() + text.size(), id);
+  if (ec != std::errc() || end == first) return std::nullopt;
+  return id;
+}
+
+/// A message object as a shared record: the record of the first object
+/// parsed with the same leading id when the text continues with exactly
+/// that object's bytes, else a full parse.  Equal bytes read at no greater
+/// depth read the same, so sharing accepts and rejects what parsing would.
+MessageRef read_msg(JsonScanner& s, ParsedMessages& parsed) {
+  const std::string_view rest = s.rest();
+  const std::optional<std::uint64_t> id = leading_id(rest);
+  if (id) {
+    const auto it = parsed.find(*id);
+    if (it != parsed.end() && s.depth() <= it->second.depth &&
+        rest.starts_with(it->second.bytes)) {
+      s.advance(it->second.bytes.size());
+      return it->second.ref;
+    }
+  }
+  const std::size_t begin = s.offset(), depth = s.depth();
+  auto ref = std::make_shared<const ExportedMessage>(read_message(s));
+  if (id)
+    parsed.try_emplace(
+        *id, ParsedMessage{rest.substr(0, s.offset() - begin), depth, ref});
+  return ref;
+}
+
 InvokeRecord read_invoke(JsonScanner& s) {
   static constexpr std::string_view kKeys[] = {"at", "client", "tx"};
   static constexpr std::string_view kTxKeys[] = {"id", "reads", "writes"};
@@ -469,7 +577,8 @@ InvokeRecord read_invoke(JsonScanner& s) {
 
 /// Reads an event line whose kind the caller has already looked up: only
 /// that kind's members are read, the others are skipped like unknown keys.
-ExportedEvent read_event(JsonScanner& s, sim::Event::Kind kind) {
+ExportedEvent read_event(JsonScanner& s, sim::Event::Kind kind,
+                         ParsedMessages& parsed) {
   using Kind = sim::Event::Kind;
   static constexpr std::string_view kKeys[] = {"seq",  "process", "consumed",
                                                "sent", "msg",     "lossy"};
@@ -491,9 +600,13 @@ ExportedEvent read_event(JsonScanner& s, sim::Event::Kind kind) {
     switch (i) {
       case 0: e.seq = s.uint(); break;
       case 1: process = ProcessId(s.uint()); break;
-      case 2: read_each(s, [&] { e.consumed.push_back(read_msg(s)); }); break;
-      case 3: read_each(s, [&] { e.sent.push_back(read_msg(s)); }); break;
-      case 4: e.delivered = read_msg(s); break;
+      case 2:
+        read_each(s, [&] { e.consumed.push_back(read_msg(s, parsed)); });
+        break;
+      case 3:
+        read_each(s, [&] { e.sent.push_back(read_msg(s, parsed)); });
+        break;
+      case 4: e.delivered = read_msg(s, parsed); break;
       default: lossy = s.boolean();
     }
   });
@@ -565,7 +678,7 @@ hist::TxRecord read_tx(JsonScanner& s) {
 
 /// Imports one non-empty line into `doc`.
 void import_line(std::string_view line, TraceDoc& doc, bool& saw_header,
-                 bool& saw_footer) {
+                 bool& saw_footer, ParsedMessages& parsed) {
   const std::string record = member_string(line, "record");
   if (record == "header") {
     const Json j = Json::parse(line);
@@ -606,7 +719,7 @@ void import_line(std::string_view line, TraceDoc& doc, bool& saw_header,
                                << " header");
     DISCS_CHECK_MSG(known != std::end(kEventKinds),
                     "trace: unknown event kind '" << kind << "'");
-    ExportedEvent e = read_event(s, known->first);
+    ExportedEvent e = read_event(s, known->first, parsed);
     s.finish();
     DISCS_CHECK_MSG(e.seq == doc.events.size(),
                     "trace: event seq " << e.seq << " out of order");
@@ -706,8 +819,9 @@ std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events) {
 std::string export_jsonl(const TraceDoc& doc) {
   std::string out;
   put_prefix(out, doc);
+  WrittenMessages written;
   for (const auto& e : doc.events) {
-    put_event(out, e);
+    put_event(out, e, &written);
     out += '\n';
   }
   put_suffix(out, doc, doc.events.size());
@@ -717,6 +831,8 @@ std::string export_jsonl(const TraceDoc& doc) {
 TraceDoc import_jsonl(std::string_view text) {
   TraceDoc doc;
   bool saw_header = false, saw_footer = false;
+  // Views into `text`, which outlives the import.
+  ParsedMessages parsed;
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -730,7 +846,7 @@ TraceDoc import_jsonl(std::string_view text) {
       DISCS_CHECK_MSG(false, "trace line " << line_no << ": " << e.what());
     };
     try {
-      import_line(line, doc, saw_header, saw_footer);
+      import_line(line, doc, saw_header, saw_footer, parsed);
     } catch (const JsonSyntaxError& e) {
       syntax_error(e);
     } catch (const CheckFailure&) {
@@ -791,11 +907,10 @@ DocReplay replay_doc(const TraceDoc& doc, const proto::Protocol& protocol) {
   }
   run_invokes();
 
-  out.history = proto::collect_history(sim, cluster.clients,
-                                       cluster.initial_values);
-  out.digest_match = sim.digest() == doc.final_digest;
   out.reexport = make_doc(protocol, doc.scenario, doc.cluster, sim, cluster,
                           doc.invokes);
+  out.history = out.reexport.history;
+  out.digest_match = out.reexport.final_digest == doc.final_digest;
   out.ok = out.digest_match;
   if (!out.digest_match)
     out.error = "final configuration digest does not match the document";

@@ -25,7 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -76,21 +76,30 @@ struct ExportedMessage {
   /// RotReply items/extras/pendings.
   std::vector<std::array<std::uint64_t, 3>> reads;
 
+  /// A pure function of (m.id, m.src, m.dst, the payload object, spans),
+  /// which is what lets one record stand for every occurrence of `m`.
   static ExportedMessage from(const sim::Message& m, bool spans = false);
 
   friend bool operator==(const ExportedMessage&,
                          const ExportedMessage&) = default;
 };
 
+/// One message's shared, immutable record.  A message occurs up to three
+/// times in a trace (the step that sent it, its deliver event, the step
+/// that consumed it); within one TraceDoc those occurrences point to one
+/// record instead of holding three copies.  Null where an event carries no
+/// message.
+using MessageRef = std::shared_ptr<const ExportedMessage>;
+
 /// One trace record: the bare event (replayable) plus message metadata.
 struct ExportedEvent {
   sim::Event event;
   std::uint64_t seq = 0;
-  std::vector<ExportedMessage> consumed;       ///< kStep only
-  std::vector<ExportedMessage> sent;           ///< kStep only
+  std::vector<MessageRef> consumed;  ///< kStep only
+  std::vector<MessageRef> sent;      ///< kStep only
   /// kDeliver, and (v2) the affected message of kDrop/kDuplicate/
   /// kRetransmit.
-  std::optional<ExportedMessage> delivered;
+  MessageRef delivered;
 };
 
 /// A harness invocation: client `client` was handed `spec` when the
@@ -124,7 +133,9 @@ TraceDoc make_doc(const proto::Protocol& protocol, std::string scenario,
                   std::vector<InvokeRecord> invokes);
 
 /// Appends `records` to doc.events (one ExportedEvent per record, message
-/// metadata included; cause annotations when `spans`).  Returns true when
+/// metadata included; cause annotations when `spans`).  Each message is
+/// converted once: a later occurrence shares the earlier record when its
+/// id, src, dst and payload object are all the same.  Returns true when
 /// any fault event was seen — the exporter's v1-vs-v2 schema decision.
 /// Shared by make_doc and the rt backend's capture path, which assembles
 /// its EventRecords from per-thread sinks instead of a sim::Trace; one
@@ -151,6 +162,8 @@ std::string event_line(const ExportedEvent& e);
 void sort_invokes(std::vector<InvokeRecord>& invokes);
 
 /// Serializes to JSONL (one JSON object per line, deterministic bytes).
+/// A record shared by several events is written once; its later
+/// occurrences copy those bytes.
 std::string export_jsonl(const TraceDoc& doc);
 
 /// The artifact split at the event stream, for writers that hold the event
@@ -168,7 +181,8 @@ std::string export_prefix_jsonl(const TraceDoc& doc);
 std::string export_suffix_jsonl(const TraceDoc& doc, std::uint64_t events);
 
 /// Strict parser; throws CheckFailure on malformed input or an unknown
-/// schema version.
+/// schema version.  A message object whose bytes equal an earlier parsed
+/// one's exactly shares that record; any other is parsed in full.
 TraceDoc import_jsonl(std::string_view text);
 
 /// The one JSON form of a ClusterConfig: the "cluster" object of trace
@@ -187,8 +201,8 @@ struct DocReplay {
   bool ok = false;           ///< every invoke + event applied cleanly
   std::string error;
   std::size_t applied = 0;   ///< events applied
-  bool digest_match = false; ///< replayed final digest == doc.final_digest
-  hist::History history;     ///< history collected from the replayed run
+  bool digest_match = false; ///< reexport.final_digest == doc.final_digest
+  hist::History history;     ///< reexport.history
   /// The replayed execution re-captured as a document; byte-exact round
   /// trip means export_jsonl(reexport) == export_jsonl(doc).
   TraceDoc reexport;

@@ -2,12 +2,14 @@
 // registry, and the trace export/import/replay guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,6 +91,38 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("nul"), CheckFailure);
   EXPECT_THROW(Json::parse("1 2"), CheckFailure);  // trailing garbage
   EXPECT_THROW(Json::parse("\"unterminated"), CheckFailure);
+}
+
+TEST(Json, NestingDeeperThanTheBoundIsASyntaxError) {
+  const std::size_t max = obs::kJsonMaxDepth;
+  // `arrays` arrays around `objects` nested objects around a 0.
+  auto nested = [](std::size_t arrays, std::size_t objects) {
+    std::string out(arrays, '[');
+    for (std::size_t i = 0; i < objects; ++i) out += "{\"a\":";
+    out += '0';
+    out.append(objects, '}');
+    return out.append(arrays, ']');
+  };
+  // The what() of the JsonSyntaxError Json::parse throws, or "".
+  auto parse_error = [](const std::string& text) -> std::string {
+    try {
+      Json::parse(text);
+    } catch (const obs::JsonSyntaxError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(parse_error(nested(max, 0)), "");
+  EXPECT_EQ(parse_error(nested(max / 2, max / 2)), "");
+  const std::string what =
+      cat("json: nesting deeper than ", max, " at offset ");
+  EXPECT_NE(parse_error(nested(max + 1, 0)).find(cat(what, max)),
+            std::string::npos);
+  EXPECT_NE(parse_error(nested(max / 2, max / 2 + 1)).find(what),
+            std::string::npos);
+  // Without the bound this recursed once per '[' and overflowed the stack.
+  EXPECT_NE(parse_error(std::string(300000, '[')).find(cat(what, max)),
+            std::string::npos);
 }
 
 TEST(Json, TypeMismatchThrows) {
@@ -297,6 +331,19 @@ std::string join_lines(const std::vector<std::string>& lines) {
   return out;
 }
 
+/// Whether two message records hold equal values; their addresses may
+/// differ, since each document shares records of its own.
+bool same_records(const obs::MessageRef& a, const obs::MessageRef& b) {
+  return a == nullptr ? b == nullptr : b != nullptr && *a == *b;
+}
+bool same_records(const std::vector<obs::MessageRef>& a,
+                  const std::vector<obs::MessageRef>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return same_records(x, y);
+                    });
+}
+
 /// Re-renders a JSON value the way a hand edit might leave it: members in
 /// reverse order, each key's first letter written as a \u escape, padding
 /// around every token, an unknown member in front and a null duplicate of
@@ -349,9 +396,9 @@ TEST(TraceCodec, ImportIgnoresKeyOrderPaddingEscapesAndUnknownKeys) {
     deliver |= a.event.kind == sim::Event::Kind::kDeliver;
     EXPECT_EQ(b.event, a.event) << i;
     EXPECT_EQ(b.seq, a.seq);
-    EXPECT_EQ(b.consumed, a.consumed);
-    EXPECT_EQ(b.sent, a.sent);
-    EXPECT_EQ(b.delivered, a.delivered);
+    EXPECT_TRUE(same_records(b.consumed, a.consumed)) << i;
+    EXPECT_TRUE(same_records(b.sent, a.sent)) << i;
+    EXPECT_TRUE(same_records(b.delivered, a.delivered)) << i;
   }
   EXPECT_TRUE(step && deliver);
 }
@@ -481,6 +528,15 @@ TEST(TraceCodec, EveryRejectionKeepsItsDiagnostic) {
                  "trace: missing footer");
 }
 
+std::string read_data(const std::string& name) {
+  std::ifstream in(std::string(DISCS_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
 /// The first whole lines of `text` that fit in `limit` bytes.
 std::string head_lines(const std::string& text, std::size_t limit) {
   if (text.size() <= limit) return text;
@@ -495,7 +551,6 @@ TEST(TraceCodec, DamagedArtifactsImportOrThrowCheckFailure) {
   // throw CheckFailure; anything else (a crash, another exception) fails.
   // The large wren artifact is cut to its first 96 KiB of lines to keep the
   // pass quick under the sanitizers.
-  const std::string dir = DISCS_TEST_DATA_DIR;
   const char* files[] = {"golden/cops-snow.mixed.trace.jsonl",
                          "golden/naivefast.mixed.trace.jsonl",
                          "golden/spanner.mixed.trace.jsonl",
@@ -512,11 +567,7 @@ TEST(TraceCodec, DamagedArtifactsImportOrThrowCheckFailure) {
     }
   };
   for (const char* name : files) {
-    std::ifstream in(dir + "/" + name, std::ios::binary);
-    ASSERT_TRUE(in.good()) << name;
-    std::ostringstream os;
-    os << in.rdbuf();
-    const std::string text = head_lines(os.str(), 96 * 1024);
+    const std::string text = head_lines(read_data(name), 96 * 1024);
     for (std::size_t k = 0; k < text.size(); k += 97)
       attempt(text.substr(0, k));
     for (std::size_t k = 0, n = 0; k < text.size(); k += 131, ++n) {
@@ -533,6 +584,111 @@ TEST(TraceCodec, DamagedArtifactsImportOrThrowCheckFailure) {
   }
   EXPECT_GT(imported, 0u);
   EXPECT_GT(rejected, 1000u);
+}
+
+TEST(TraceCodec, NestingDeeperThanTheBoundIsRejected) {
+  const std::string deep(300000, '[');
+  const std::string what =
+      cat("json: nesting deeper than ", obs::kJsonMaxDepth, " at offset ");
+  const std::string top = rejection(deep + "\n");
+  EXPECT_NE(top.find("trace line 1: "), std::string::npos) << top;
+  EXPECT_NE(top.find(cat(what, obs::kJsonMaxDepth)), std::string::npos)
+      << top;
+
+  // The same inside an unknown member of an event, which the reader skips.
+  auto protocol = proto::protocol_by_name("naivefast");
+  std::vector<std::string> lines = split_lines(obs::export_jsonl(
+      obs::capture_scenario(*protocol, "quickread", small_cluster())));
+  std::size_t event = 0;
+  while (lines[event].find("\"record\":\"event\"") == std::string::npos)
+    ++event;
+  lines[event].insert(1, "\"zz\":" + deep + ",");
+  const std::string inner = rejection(join_lines(lines));
+  EXPECT_NE(inner.find(cat("trace line ", event + 1, ": ")), std::string::npos)
+      << inner;
+  EXPECT_NE(inner.find(what), std::string::npos) << inner;
+}
+
+/// Checks that each message's deliver and consumed occurrences point to
+/// the record of its sent occurrence, and returns how many do.
+std::size_t expect_one_record_per_message(const obs::TraceDoc& doc) {
+  std::map<std::uint64_t, const obs::ExportedMessage*> sent;
+  for (const auto& e : doc.events)
+    for (const auto& m : e.sent) sent.try_emplace(m->id.value(), m.get());
+  std::size_t shared = 0;
+  auto expect_sent = [&](const obs::MessageRef& m, std::uint64_t seq) {
+    const auto it = sent.find(m->id.value());
+    ASSERT_NE(it, sent.end()) << "event " << seq;
+    EXPECT_EQ(m.get(), it->second) << "event " << seq;
+    ++shared;
+  };
+  for (const auto& e : doc.events) {
+    if (e.event.kind == sim::Event::Kind::kDeliver)
+      expect_sent(e.delivered, e.seq);
+    for (const auto& m : e.consumed) expect_sent(m, e.seq);
+  }
+  return shared;
+}
+
+TEST(TraceCodec, EachMessageIsOneRecord) {
+  for (const char* name : {"cops-snow", "naivefast", "spanner", "wren"}) {
+    SCOPED_TRACE(name);
+    const obs::TraceDoc golden = obs::import_jsonl(
+        read_data(cat("golden/", name, ".mixed.trace.jsonl")));
+    EXPECT_GT(expect_one_record_per_message(golden), 50u);
+    const obs::DocReplay replay = obs::replay_doc(golden);
+    ASSERT_TRUE(replay.ok) << replay.error;
+    EXPECT_GT(expect_one_record_per_message(replay.reexport), 50u);
+  }
+  auto wren = proto::protocol_by_name("wren");
+  obs::WorkloadCaptureOptions options;
+  options.cluster.num_servers = 3;
+  options.cluster.num_clients = 3;
+  options.cluster.num_objects = 6;
+  options.workload.num_txs = 20;
+  options.workload.seed = 5;
+  const obs::TraceDoc doc = obs::capture_workload(*wren, options).doc;
+  EXPECT_GT(expect_one_record_per_message(doc), 100u);
+}
+
+TEST(TraceCodec, AHandEditedOccurrenceKeepsItsOwnRecord) {
+  const std::string bytes = read_data("golden/cops-snow.mixed.trace.jsonl");
+  std::vector<std::string> lines = split_lines(bytes);
+  std::size_t deliver = 0;
+  while (lines[deliver].find("\"kind\":\"deliver\"") == std::string::npos)
+    ++deliver;
+  std::string& line = lines[deliver];
+  line.insert(line.find("\"desc\":\"") + 8, "edited ");
+  const std::string edited = join_lines(lines);
+
+  const std::uint64_t seq = Json::parse(line).get("seq").as_uint();
+
+  const obs::TraceDoc original = obs::import_jsonl(bytes);
+  const obs::TraceDoc doc = obs::import_jsonl(edited);
+  EXPECT_EQ(obs::export_jsonl(doc), edited);
+  ASSERT_EQ(doc.events.size(), original.events.size());
+  const obs::MessageRef& hit = doc.events[seq].delivered;
+  EXPECT_EQ(hit->desc, "edited " + original.events[seq].delivered->desc);
+  // Every other occurrence keeps the original values; the edited message's
+  // sent and consumed occurrences share a record that is not the edited one.
+  std::size_t others = 0;
+  for (std::size_t i = 0; i < doc.events.size(); ++i) {
+    const obs::ExportedEvent& a = original.events[i];
+    const obs::ExportedEvent& b = doc.events[i];
+    EXPECT_TRUE(same_records(b.sent, a.sent)) << i;
+    EXPECT_TRUE(same_records(b.consumed, a.consumed)) << i;
+    if (i != seq) {
+      EXPECT_TRUE(same_records(b.delivered, a.delivered)) << i;
+    }
+    for (const auto* msgs : {&b.sent, &b.consumed}) {
+      for (const auto& m : *msgs) {
+        if (m->id != hit->id) continue;
+        EXPECT_NE(m.get(), hit.get()) << i;
+        ++others;
+      }
+    }
+  }
+  EXPECT_EQ(others, 2u);
 }
 
 // --- Ring ------------------------------------------------------------------
